@@ -40,10 +40,7 @@ import random
 from repro.errors import SyscallError
 from repro.kernel.net import S_RESET
 from repro.sim.clock import usec
-
-PORT = 7000
-REQUEST_SIZE = 16
-BUSY = b"BUSY"
+from repro.workloads.network_server import BUSY, PORT, REQUEST_SIZE
 
 #: Outcome categories, in reporting order.
 OUTCOMES = ("ok", "busy", "refused", "timeout", "reset", "eof")

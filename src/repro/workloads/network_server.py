@@ -1,11 +1,10 @@
 """The network-server workload, on real (simulated) sockets.
 
 "A network server may indirectly need its own service (and therefore
-another thread of control) to handle requests."  Clients in separate
-processes connect to the server's listening socket (one connection per
-request attempt), send a fixed-size request, and wait — with deadlines
-and seeded-jitter backoff from :mod:`repro.threads.retry` — for the
-response.  The server offers three architectures:
+another thread of control) to handle requests."  Clients connect to the
+server's listening socket (one connection per request attempt), send a
+fixed-size request, and wait for the response.  The server offers three
+architectures:
 
 * ``mode="pool"`` (default): a bound-LWP worker pool behind a bounded
   admission queue.  The acceptor reads each request and either admits
@@ -13,18 +12,25 @@ response.  The server offers three architectures:
   or refuses the newcomer with a ``BUSY`` response
   (``shed="reject-newest"``) — the degradation ladder's last rung, and
   always an *explicit* rejection the client can act on.
-* ``mode="thread-per-conn"``: the paper's flagship — an unbound thread
-  per connection, LWP pool growing via SIGWAITING as handlers block in
-  the kernel, with admission as a cap on concurrent handlers.
+* ``mode="thread-per-conn"``: the paper's flagship — an unbound,
+  detached thread per connection, LWP pool growing via SIGWAITING as
+  handlers block in the kernel, with admission as a cap on concurrent
+  handlers.
 * ``mode="event-loop"``: the architecture the paper argues *against* —
   a single LWP multiplexing every descriptor through ``select()`` on a
   nonblocking listener, serving each request inline (see
   :func:`_event_loop`).  No locks and no handoff, but one slow request
   head-of-line-blocks every other ready descriptor.
 
-:func:`build` forks real client processes (the self-contained workload
-form); :func:`build_server` is the server half alone, for the open-loop
-load generator in :mod:`repro.load` to drive at 10^5–10^6 clients.
+One server core (:func:`_program`) implements all three.  Its only
+client-side input is an optional guest client function.
+:func:`build` passes one: the core forks that many client processes
+(deadlines and seeded-jitter backoff from :mod:`repro.threads.retry`),
+reaps them and retires its own listener — the self-contained form the
+regression corpus, the overload and chaos gates and the examples run.
+:func:`build_server` passes none: the server serves whatever arrives on
+its port until the open-loop load generator in :mod:`repro.load`, which
+injects 10^5–10^6 clients at the kernel edge, retires the listener.
 
 Every admitted request is accounted for on a ledger
 (:func:`repro.sync.events.sync_event` ops ``net-admit`` /
@@ -32,15 +38,16 @@ Every admitted request is accounted for on a ledger
 detector audits: admitted exactly once implies served exactly once or
 explicitly shed — under overload, faults, and adversarial schedules.
 
-``supervise=True`` puts the pool workers under a
+``build(supervise=True)`` puts the pool workers under a
 :class:`~repro.threads.supervisor.Supervisor`: a worker that dies with
 its LWP (a ``CrashStorm``, a watchdog kill) is respawned on backoff,
 and its in-flight request — tracked in a plain dict the crash-reclaim
 walk can read — is handed to the replacement as its first work item, so
-the ledger stays exactly-once through crash storms.  The admission
-mutex is treated as robust everywhere: any acquire that returns
-``EOWNERDEAD`` repairs with ``consistent()`` (the queue deque is only
-mutated between yields, so it is always structurally sound).
+the ledger stays exactly-once through crash storms.  Pool workers are
+always named ``worker-<i>`` so crash-storm fault plans can target them.
+The admission mutex is treated as robust everywhere: any acquire that
+returns ``EOWNERDEAD`` repairs with ``consistent()`` (the queue deque is
+only mutated between yields, so it is always structurally sound).
 """
 
 from __future__ import annotations
@@ -76,8 +83,8 @@ def _note(op: str, rid: str, **detail):
 
 
 # ---------------------------------------------------------------------
-# Shared server plumbing (used by build() and build_server() alike —
-# every architecture reads, serves, sheds, and closes the same way).
+# Server plumbing: every architecture reads, serves, sheds, and closes
+# the same way.
 # ---------------------------------------------------------------------
 
 def _enter_robust(m):
@@ -164,10 +171,10 @@ def _event_loop(lfd: int, datafd: int, stats: dict,
     ready descriptor waits (head-of-line blocking), which is exactly
     the knee the bakeoff measures under burst arrivals.
 
-    The loop exits when the listener is retired (``close``d by a
-    sibling thread in :func:`build`, or by the load driver at the
-    kernel edge in :func:`build_server`) and the surviving connections
-    have drained.
+    The loop exits when the listener is retired (``close``d by the
+    reaper thread once the guest clients are done, or by the load
+    driver at the kernel edge) and the surviving connections have
+    drained.
     """
     conns: dict[int, bytes] = {}
     listening = True
@@ -270,6 +277,303 @@ def _fill_results(results: dict, stats: dict, start: int, end: int,
         ctx.process.threadlib.lwps_grown_by_sigwaiting)
 
 
+def _program(*, mode: str, n_workers: int, service_compute_usec: float,
+             backlog: int, admission_limit: int, shed: str, port: int,
+             client: Callable | None = None, n_clients: int = 0,
+             supervise: bool = False, max_restarts: int = 6,
+             heartbeat_timeout_usec=None,
+             crash_storm=None) -> tuple[Callable, dict]:
+    """The server core behind :func:`build` and :func:`build_server`.
+
+    ``client`` is what tells the two builders apart.  When given — a
+    guest generator function ``client(client_id, stats)`` — the core
+    forks ``n_clients`` client processes once the server is up, reaps
+    them, and then retires its own listener (from a reaper thread under
+    the event loop, whose one thread is busy serving).  Without it, the
+    run starts as soon as the listener is up and ends when someone else
+    retires the listener.  Either way the acceptor (or the event loop)
+    sees the listener go, and every architecture drains in-flight work
+    before the results dict is filled.  The supervision and crash-storm
+    settings are :func:`build`'s alone.
+    """
+    if mode not in ("pool", "thread-per-conn", "event-loop"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if shed not in ("reject-newest", "oldest"):
+        raise ValueError(f"unknown shed policy {shed!r}")
+    if supervise and mode != "pool":
+        raise ValueError("supervise=True requires mode='pool'")
+    results: dict = {}
+    stats = {"admitted": 0, "served": 0, "shed": 0, "latency_ns": 0,
+             "client_ok": 0, "client_giveups": 0, "client_retries": 0}
+
+    def main():
+        # A server that writes to clients that may hang up must not die
+        # on the first disappointment.
+        from repro.kernel.signals import SIG_IGN, Sig
+        yield from unistd.sigaction(int(Sig.SIGPIPE), SIG_IGN)
+        if crash_storm is not None:
+            # Self-contained chaos: the program carries its own storm
+            # (the regression-corpus form).  An externally attached plan
+            # wins — explore passes faults through the run config.
+            ctx = yield GetContext()
+            if ctx.kernel.faults is None:
+                from repro.sim.faults import CrashStorm, FaultPlan
+                FaultPlan([CrashStorm(**crash_storm)]).attach(ctx.kernel)
+        datafd = yield from unistd.open("/tmp/server.data",
+                                        O_CREAT | O_RDWR)
+        yield from unistd.write(datafd, b"x" * 4096)
+        # The event loop accept-drains on readiness, so its listener
+        # must be nonblocking.
+        lfd = yield from unistd.socket(
+            O_NONBLOCK if mode == "event-loop" else 0)
+        yield from unistd.bind(lfd, port)
+        yield from unistd.listen(lfd, backlog)
+        # The goldens pin where the run's start is stamped: right after
+        # listen() without guest clients, else just before the first
+        # fork (fork_clients).
+        if client is None:
+            start = yield from unistd.gettimeofday()
+
+        def fork_clients():
+            """Generator: stamp the start, fork the guest clients;
+            returns ``(start, pids)``."""
+            t0 = yield from unistd.gettimeofday()
+            pids = []
+            for c in range(n_clients):
+                pids.append((yield from unistd.fork1(client, c, stats)))
+            return t0, pids
+
+        def reap(pids):
+            """Generator: join the clients, then retire the listener —
+            what tells the acceptor or the event loop to drain."""
+            for pid in pids:
+                yield from unistd.waitpid(pid)
+            yield from _close_quiet(lfd)
+
+        if mode == "event-loop":
+            # Single-LWP server: the main thread *is* the event loop, so
+            # the clients are reaped by a thread on its own LWP.
+            if client is not None:
+                start, pids = yield from fork_clients()
+                reaper_tid = yield from threads.thread_create(
+                    reap, pids,
+                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
+            yield from _event_loop(lfd, datafd, stats,
+                                   service_compute_usec)
+            if client is not None:
+                yield from threads.thread_wait(reaper_tid)
+            end = yield from unistd.gettimeofday()
+            yield from unistd.close(datafd)
+            _fill_results(results, stats, start, end,
+                          (yield GetContext()))
+            return
+
+        # Admission queue feeding the worker pool (pool mode).
+        queue: deque = deque()
+        qmutex = Mutex(name="srv.qm")
+        qcv = CondVar(name="srv.qcv")
+        # Thread-per-conn: the concurrent-handler cap, and the drain's
+        # spawned == finished count.  Handlers are detached because
+        # joining 10^5 of them at drain time would keep every finished
+        # handler alive as a zombie for the whole run.
+        active = {"handlers": 0, "spawned": 0, "finished": 0}
+        # Crash containment (supervised mode): worker-name → in-flight
+        # item.  Written in the same atomic block as the queue pop, so
+        # from admission to disposal every request is reachable either
+        # from the queue or from this dict — that invariant is what the
+        # crash-recovery handover and the end-of-run sweep rely on.
+        sup = None
+        wspecs: dict = {}
+        inflight: dict = {}
+
+        def worker(item):
+            """Pool worker: serve from the queue until poisoned.  Under
+            supervision ``item`` is the crashed predecessor's in-flight
+            request (served first), and the current one is tracked in
+            ``inflight``."""
+            me = (yield GetContext()).thread if sup is not None else None
+            while True:
+                if item is None:
+                    yield from _enter_robust(qmutex)
+                    while not queue:
+                        if (yield from qcv.wait(qmutex)):
+                            qmutex.consistent()
+                    item = queue.popleft()
+                    if me is not None and item is not None:
+                        inflight[me.name] = item
+                    yield from qmutex.exit()
+                    if item is None:
+                        return  # poison: graceful drain
+                elif me is not None:
+                    inflight[me.name] = item
+                if me is not None:
+                    sup.heartbeat(wspecs[me.name])
+                conn, rid, enq_ns = item
+                yield from _serve(conn, rid, enq_ns, datafd, stats,
+                                  service_compute_usec)
+                if me is not None:
+                    inflight.pop(me.name, None)
+                item = None
+
+        def handler(conn):
+            """Thread-per-conn: one detached thread per connection."""
+            rid_raw = yield from _read_request(conn)
+            if rid_raw is not None:
+                rid = rid_raw.decode()
+                yield from _enter_robust(qmutex)
+                over = active["handlers"] >= admission_limit
+                if not over:
+                    active["handlers"] += 1
+                yield from qmutex.exit()
+                if over:
+                    yield from _reject(conn, rid, "handler-cap", stats)
+                else:
+                    now = yield from unistd.gettimeofday()
+                    stats["admitted"] += 1
+                    yield from _note("net-admit", rid, mode=mode)
+                    yield from _serve(conn, rid, now, datafd, stats,
+                                      service_compute_usec)
+                    yield from _enter_robust(qmutex)
+                    active["handlers"] -= 1
+                    yield from qmutex.exit()
+            else:
+                yield from _close_quiet(conn)
+            yield from _enter_robust(qmutex)
+            active["finished"] += 1
+            yield from qcv.broadcast()
+            yield from qmutex.exit()
+
+        def acceptor(_):
+            while True:
+                try:
+                    conn = yield from unistd.accept(lfd)
+                except SyscallError as err:
+                    if err.errno == Errno.EINTR:
+                        continue  # a sibling LWP forked a client
+                    if err.errno in (Errno.ECONNABORTED, Errno.EBADF,
+                                     Errno.EINVAL):
+                        break  # listener retired: drain and exit
+                    if err.errno in (Errno.EMFILE, Errno.ENFILE):
+                        # fd table full: let in-flight handlers close
+                        # their conns, then drain the backlog.
+                        yield from unistd.sleep_usec(500.0)
+                        continue
+                    raise
+                m = (yield GetContext()).engine.metrics
+                if m is not None:
+                    m.count("server.accepts")
+                if mode == "thread-per-conn":
+                    active["spawned"] += 1
+                    yield from threads.thread_create(handler, conn)
+                    continue
+                rid_raw = yield from _read_request(conn)
+                if rid_raw is None:
+                    yield from _close_quiet(conn)
+                    continue
+                rid = rid_raw.decode()
+                now = yield from unistd.gettimeofday()
+                yield from _enter_robust(qmutex)
+                full = len(queue) >= admission_limit
+                if full and shed == "reject-newest":
+                    yield from qmutex.exit()
+                    yield from _reject(conn, rid, "reject-newest", stats)
+                    continue
+                # Shed-oldest makes room by revoking the queue's head.
+                # The admit ledger event goes out *before* the request
+                # becomes visible to workers (still under the queue
+                # mutex), so no schedule can serve an unadmitted id.
+                old = queue.popleft() if full else None
+                stats["admitted"] += 1
+                yield from _note("net-admit", rid, mode=mode)
+                queue.append((conn, rid, now))
+                yield from qcv.signal()
+                yield from qmutex.exit()
+                if old is not None:
+                    yield from _reject(old[0], old[1], "shed-oldest", stats)
+
+        workers: list = []
+        if mode == "pool":
+            if supervise:
+                from repro.threads.supervisor import Supervisor
+
+                def handover_arg(spec, dead):
+                    # Kernel context (crash time): pull the victim's
+                    # in-flight request; the replacement serves it first.
+                    return inflight.pop(spec.name, None)
+
+                sup = Supervisor(
+                    max_restarts=max_restarts, restart_arg=handover_arg,
+                    heartbeat_timeout_usec=heartbeat_timeout_usec,
+                    name="srv-sup")
+            else:
+                lib = (yield GetContext()).process.threadlib
+            flags = threads.THREAD_WAIT | threads.THREAD_NEW_LWP
+            for i in range(n_workers):
+                name = f"worker-{i}"
+                if sup is not None:
+                    wspecs[name] = yield from sup.spawn(
+                        worker, None, name=name, flags=flags)
+                else:
+                    tid = yield from threads.thread_create(
+                        worker, None, flags=flags)
+                    workers.append(tid)
+                    lib.threads[tid].name = name
+        else:
+            # Thread-per-connection: handlers are unbound, so give the
+            # pool enough LWPs up front (the paper's
+            # thread_setconcurrency hint); SIGWAITING still grows it
+            # when every one of these blocks in the kernel at once.
+            yield from threads.thread_setconcurrency(n_workers + 1)
+        acceptor_tid = yield from threads.thread_create(
+            acceptor, None,
+            flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
+        if client is not None:
+            start, pids = yield from fork_clients()
+            yield from reap(pids)
+        yield from threads.thread_wait(acceptor_tid)
+
+        # The listener is gone and the acceptor with it: drain.  Queued,
+        # already-admitted requests are served before the poison — FIFO
+        # order guarantees no admitted request is ever dropped.
+        if sup is not None:
+            # Stop restarts *first*, then poison exactly the children
+            # still alive.  A crash from here on stays dead.
+            sup.drain()
+        yield from _enter_robust(qmutex)
+        if mode == "thread-per-conn":
+            while active["finished"] < active["spawned"]:
+                if (yield from qcv.wait(qmutex)):
+                    qmutex.consistent()
+        else:
+            if sup is not None:
+                workers = sup.live_children
+            queue.extend([None] * len(workers))
+            yield from qcv.broadcast()
+        yield from qmutex.exit()
+        for w in workers:
+            if sup is None:
+                yield from threads.thread_wait(w)
+            elif w.thread is not None:
+                yield from threads.thread_wait(w.thread.thread_id)
+        if sup is not None:
+            # Requests the supervisor could not recover — a give-up, or
+            # a crash whose restart this drain pre-empted — are shed
+            # explicitly so the ledger still balances.
+            for wname in sorted(inflight):
+                conn, rid, _enq = inflight.pop(wname)
+                yield from _reject(conn, rid, "crash-unrecovered", stats)
+        end = yield from unistd.gettimeofday()
+        yield from unistd.close(datafd)
+        _fill_results(results, stats, start, end, (yield GetContext()))
+        if sup is not None:
+            results["worker_restarts"] = sum(
+                s.restarts for s in sup.children)
+            results["worker_give_ups"] = sum(
+                1 for s in sup.children if s.gave_up)
+
+    return main, results
+
+
 def build(n_clients: int = 3, requests_per_client: int = 10,
           n_workers: int = 4,
           service_compute_usec: float = 300.0,
@@ -293,19 +597,8 @@ def build(n_clients: int = 3, requests_per_client: int = 10,
     its own kernel at startup (unless a fault plan is already attached)
     — the self-contained form the regression corpus uses.
     """
-    if mode not in ("pool", "thread-per-conn", "event-loop"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if shed not in ("reject-newest", "oldest"):
-        raise ValueError(f"unknown shed policy {shed!r}")
-    if supervise and mode != "pool":
-        raise ValueError("supervise=True requires mode='pool'")
-    results: dict = {}
-    stats = {"admitted": 0, "served": 0, "shed": 0, "latency_ns": 0,
-             "client_ok": 0, "client_giveups": 0, "client_retries": 0}
 
-    # ------------------------------------------------------------ client
-
-    def client(client_id: int):
+    def client(client_id: int, stats: dict):
         policy = retry.RetryPolicy(
             attempts=client_attempts, base_usec=300.0, factor=2.0,
             max_delay_usec=10_000.0,
@@ -347,295 +640,14 @@ def build(n_clients: int = 3, requests_per_client: int = 10,
             else:
                 stats["client_giveups"] += 1
 
-    # ------------------------------------------------- server: the pool
-
-
-    def reject(conn: int, rid: str, reason: str):
-        yield from _reject(conn, rid, reason, stats)
-
-    def serve(conn: int, rid: str, enq_ns: int, datafd: int):
-        yield from _serve(conn, rid, enq_ns, datafd, stats,
-                          service_compute_usec)
-
-    def main():
-        # A server that writes to clients that may hang up must not die
-        # on the first disappointment.
-        from repro.kernel.signals import SIG_IGN, Sig
-        yield from unistd.sigaction(int(Sig.SIGPIPE), SIG_IGN)
-        if crash_storm is not None:
-            # Self-contained chaos: the program carries its own storm
-            # (the regression-corpus form).  An externally attached plan
-            # wins — explore passes faults through the run config.
-            ctx = yield GetContext()
-            if ctx.kernel.faults is None:
-                from repro.sim.faults import CrashStorm, FaultPlan
-                FaultPlan([CrashStorm(**crash_storm)]).attach(ctx.kernel)
-        datafd = yield from unistd.open("/tmp/server.data",
-                                        O_CREAT | O_RDWR)
-        yield from unistd.write(datafd, b"x" * 4096)
-
-        if mode == "event-loop":
-            # The event loop accept-drains on readiness, so the
-            # listener must be nonblocking.
-            lfd = yield from unistd.socket(O_NONBLOCK)
-        else:
-            lfd = yield from unistd.socket()
-        yield from unistd.bind(lfd, port)
-        yield from unistd.listen(lfd, backlog)
-
-        if mode == "event-loop":
-            # Single-LWP server: the main thread *is* the event loop.
-            # A reaper on its own LWP joins the client processes and
-            # then retires the listener, which is what tells the loop
-            # to drain and exit.
-            start = yield from unistd.gettimeofday()
-            pids = []
-            for c in range(n_clients):
-                pids.append((yield from unistd.fork1(client, c)))
-
-            def reaper(_):
-                for pid in pids:
-                    yield from unistd.waitpid(pid)
-                yield from _close_quiet(lfd)
-
-            reaper_tid = yield from threads.thread_create(
-                reaper, None,
-                flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-            yield from _event_loop(lfd, datafd, stats,
-                                   service_compute_usec)
-            yield from threads.thread_wait(reaper_tid)
-            end = yield from unistd.gettimeofday()
-            yield from unistd.close(datafd)
-            _fill_results(results, stats, start, end,
-                          (yield GetContext()))
-            return
-
-        # Admission queue feeding the worker pool (pool mode).
-        queue: deque = deque()
-        qmutex = Mutex(name="srv.qm")
-        qcv = CondVar(name="srv.qcv")
-        # Concurrent-handler cap (thread-per-conn mode).
-        active = {"handlers": 0}
-        # Crash containment (supervised mode): worker-name → in-flight
-        # item.  Written in the same atomic block as the queue pop, so
-        # from admission to disposal every request is reachable either
-        # from the queue or from this dict — that invariant is what the
-        # crash-recovery handover and the end-of-run sweep rely on.
-        sup = None
-        wspecs: dict = {}
-        inflight: dict = {}
-
-        def worker(_):
-            while True:
-                yield from _enter_robust(qmutex)
-                while not queue:
-                    if (yield from qcv.wait(qmutex)):
-                        qmutex.consistent()
-                item = queue.popleft()
-                yield from qmutex.exit()
-                if item is None:
-                    return
-                conn, rid, enq_ns = item
-                yield from serve(conn, rid, enq_ns, datafd)
-
-        def sworker(handover):
-            """Supervised worker: first serve the crashed predecessor's
-            in-flight item (``handover``), then pull from the queue."""
-            ctx = yield GetContext()
-            me = ctx.thread
-            item = handover
-            while True:
-                if item is None:
-                    yield from _enter_robust(qmutex)
-                    while not queue:
-                        if (yield from qcv.wait(qmutex)):
-                            qmutex.consistent()
-                    item = queue.popleft()
-                    if item is not None:
-                        inflight[me.name] = item
-                    yield from qmutex.exit()
-                    if item is None:
-                        return  # poison: graceful drain
-                else:
-                    inflight[me.name] = item
-                if sup is not None:
-                    sup.heartbeat(wspecs[me.name])
-                conn, rid, enq_ns = item
-                yield from serve(conn, rid, enq_ns, datafd)
-                inflight.pop(me.name, None)
-                item = None
-
-        def handler(conn):
-            rid_raw = yield from _read_request(conn)
-            if rid_raw is None:
-                yield from unistd.close(conn)
-                return
-            rid = rid_raw.decode()
-            yield from _enter_robust(qmutex)
-            over = active["handlers"] >= admission_limit
-            if not over:
-                active["handlers"] += 1
-            yield from qmutex.exit()
-            if over:
-                yield from reject(conn, rid, "handler-cap")
-                return
-            now = yield from unistd.gettimeofday()
-            stats["admitted"] += 1
-            yield from _note("net-admit", rid, mode=mode)
-            yield from serve(conn, rid, now, datafd)
-            yield from _enter_robust(qmutex)
-            active["handlers"] -= 1
-            yield from qmutex.exit()
-
-        def acceptor(_):
-            handler_tids = []
-            while True:
-                try:
-                    conn = yield from unistd.accept(lfd)
-                except SyscallError as err:
-                    if err.errno == Errno.EINTR:
-                        continue  # a sibling LWP forked a client
-                    if err.errno in (Errno.ECONNABORTED, Errno.EBADF):
-                        break  # main closed the listener: shift over
-                    if err.errno in (Errno.EMFILE, Errno.ENFILE):
-                        # fd table full: let in-flight handlers close
-                        # their conns, then drain the backlog.
-                        yield from unistd.sleep_usec(500.0)
-                        continue
-                    raise
-                m = (yield GetContext()).engine.metrics
-                if m is not None:
-                    m.count("server.accepts")
-                if mode == "thread-per-conn":
-                    tid = yield from threads.thread_create(
-                        handler, conn, flags=threads.THREAD_WAIT)
-                    handler_tids.append(tid)
-                    continue
-                rid_raw = yield from _read_request(conn)
-                if rid_raw is None:
-                    yield from unistd.close(conn)
-                    continue
-                rid = rid_raw.decode()
-                now = yield from unistd.gettimeofday()
-                # The admit ledger event goes out *before* the request
-                # becomes visible to workers (still under the queue
-                # mutex), so no schedule can serve an unadmitted id.
-                yield from _enter_robust(qmutex)
-                if len(queue) >= admission_limit:
-                    if shed == "oldest":
-                        old = queue.popleft()
-                        stats["admitted"] += 1
-                        yield from _note("net-admit", rid, mode=mode)
-                        queue.append((conn, rid, now))
-                        yield from qcv.signal()
-                        yield from qmutex.exit()
-                        yield from reject(old[0], old[1], "shed-oldest")
-                    else:
-                        yield from qmutex.exit()
-                        yield from reject(conn, rid, "reject-newest")
-                    continue
-                stats["admitted"] += 1
-                yield from _note("net-admit", rid, mode=mode)
-                queue.append((conn, rid, now))
-                yield from qcv.signal()
-                yield from qmutex.exit()
-            for tid in handler_tids:
-                yield from threads.thread_wait(tid)
-
-        worker_tids = []
-        if mode == "pool" and supervise:
-            from repro.threads.supervisor import Supervisor
-
-            def handover_arg(spec, dead):
-                # Kernel context (crash time): pull the victim's
-                # in-flight request; the replacement serves it first.
-                return inflight.pop(spec.name, None)
-
-            sup = Supervisor(max_restarts=max_restarts,
-                             restart_arg=handover_arg,
-                             heartbeat_timeout_usec=heartbeat_timeout_usec,
-                             name="srv-sup")
-            for i in range(n_workers):
-                spec = yield from sup.spawn(
-                    sworker, None, name=f"worker-{i}",
-                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-                wspecs[spec.name] = spec
-        elif mode == "pool":
-            for i in range(n_workers):
-                tid = yield from threads.thread_create(
-                    worker, None,
-                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-                worker_tids.append(tid)
-            if crash_storm is not None:
-                # Name the pool so the storm's target glob can find it
-                # (the supervised path names through its ChildSpecs).
-                ctx = yield GetContext()
-                for i, tid in enumerate(worker_tids):
-                    ctx.process.threadlib.threads[tid].name = f"worker-{i}"
-        else:
-            # Thread-per-connection: handlers are unbound, so give the
-            # pool enough LWPs up front (the paper's
-            # thread_setconcurrency hint); SIGWAITING still grows it
-            # when every one of these blocks in the kernel at once.
-            yield from threads.thread_setconcurrency(n_workers + 1)
-        acceptor_tid = yield from threads.thread_create(
-            acceptor, None,
-            flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-
-        start = yield from unistd.gettimeofday()
-        pids = []
-        for c in range(n_clients):
-            pid = yield from unistd.fork1(client, c)
-            pids.append(pid)
-        for pid in pids:
-            yield from unistd.waitpid(pid)
-
-        # Clients are done: retire the listener (the acceptor's pending
-        # accept aborts), then drain and poison the pool.  Queued,
-        # already-admitted requests are served before the poison —
-        # FIFO order guarantees no admitted request is ever dropped.
-        yield from unistd.close(lfd)
-        yield from threads.thread_wait(acceptor_tid)
-        if supervise:
-            # Graceful drain: stop restarts *first*, then poison exactly
-            # the children still alive.  A crash from here on stays dead.
-            sup.drain()
-            yield from _enter_robust(qmutex)
-            live = [s for s in sup.children if s.thread is not None]
-            for _ in live:
-                queue.append(None)
-            yield from qcv.broadcast()
-            yield from qmutex.exit()
-            for spec in live:
-                t = spec.thread
-                if t is not None:
-                    yield from threads.thread_wait(t.thread_id)
-            # Requests the supervisor could not recover — a give-up, or
-            # a crash whose restart this drain pre-empted — are shed
-            # explicitly so the ledger still balances.
-            for wname in sorted(inflight):
-                conn, rid, _enq = inflight.pop(wname)
-                yield from reject(conn, rid, "crash-unrecovered")
-        else:
-            yield from _enter_robust(qmutex)
-            for _ in worker_tids:
-                queue.append(None)
-            yield from qcv.broadcast()
-            yield from qmutex.exit()
-            for tid in worker_tids:
-                yield from threads.thread_wait(tid)
-        end = yield from unistd.gettimeofday()
-        yield from unistd.close(datafd)
-
-        ctx = yield GetContext()
-        _fill_results(results, stats, start, end, ctx)
-        if supervise:
-            results["worker_restarts"] = sum(
-                s.restarts for s in sup.children)
-            results["worker_give_ups"] = sum(
-                1 for s in sup.children if s.gave_up)
-
-    return main, results
+    return _program(mode=mode, n_workers=n_workers,
+                    service_compute_usec=service_compute_usec,
+                    backlog=backlog, admission_limit=admission_limit,
+                    shed=shed, port=port, client=client,
+                    n_clients=n_clients, supervise=supervise,
+                    max_restarts=max_restarts,
+                    heartbeat_timeout_usec=heartbeat_timeout_usec,
+                    crash_storm=crash_storm)
 
 
 def build_server(mode: str = "pool", n_workers: int = 4,
@@ -644,193 +656,24 @@ def build_server(mode: str = "pool", n_workers: int = 4,
                  admission_limit: int = 64,
                  shed: str = "reject-newest",
                  port: int = PORT) -> tuple[Callable, dict]:
-    """The server half only — no forked client processes.
+    """The server half only — the core with no guest client processes.
 
     This is the entry the open-loop load generator (:mod:`repro.load`)
     drives: synthetic clients are injected at the kernel edge, so the
     program is just the chosen architecture serving whatever arrives on
-    ``port``.  Termination is externally triggered — when the last
-    arrival has resolved, the driver retires the listening socket via
+    ``port``, and its run starts the moment the listener is up.
+    Termination is externally triggered — when the last arrival has
+    resolved, the driver retires the listening socket via
     ``Network.close_socket``; acceptors observe ``ECONNABORTED`` /
     ``EINVAL``, the event loop sees the listener turn readable-and-
     closed, and every architecture drains in-flight work before the
     results dict is filled.
 
-    Differences from :func:`build` are deliberate and architectural:
-
-    * ``thread-per-conn`` handlers here are *detached* (completion
-      tracked with a counter under the admission mutex) — joining 10^5
-      zombie threads at drain time would hold every dead handler alive
-      for the whole run;
-    * pool workers are always named ``worker-<i>`` so crash-storm fault
-      plans can target them;
-    * there is no ``supervise`` flag — crash containment is
-      :func:`build`'s chaos-gate territory; under the bakeoff a killed
-      worker simply surfaces as timeouts in the outcome table.
+    Supervision stays :func:`build`'s: crash containment is the chaos
+    gate's territory, and under the bakeoff a killed worker simply
+    surfaces as timeouts in the outcome table.
     """
-    if mode not in ("pool", "thread-per-conn", "event-loop"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if shed not in ("reject-newest", "oldest"):
-        raise ValueError(f"unknown shed policy {shed!r}")
-    results: dict = {}
-    stats = {"admitted": 0, "served": 0, "shed": 0, "latency_ns": 0,
-             "client_ok": 0, "client_giveups": 0, "client_retries": 0}
-
-    def main():
-        from repro.kernel.signals import SIG_IGN, Sig
-        yield from unistd.sigaction(int(Sig.SIGPIPE), SIG_IGN)
-        datafd = yield from unistd.open("/tmp/server.data",
-                                        O_CREAT | O_RDWR)
-        yield from unistd.write(datafd, b"x" * 4096)
-        if mode == "event-loop":
-            lfd = yield from unistd.socket(O_NONBLOCK)
-        else:
-            lfd = yield from unistd.socket()
-        yield from unistd.bind(lfd, port)
-        yield from unistd.listen(lfd, backlog)
-        start = yield from unistd.gettimeofday()
-
-        if mode == "event-loop":
-            yield from _event_loop(lfd, datafd, stats,
-                                   service_compute_usec)
-            end = yield from unistd.gettimeofday()
-            yield from unistd.close(datafd)
-            _fill_results(results, stats, start, end,
-                          (yield GetContext()))
-            return
-
-        queue: deque = deque()
-        qmutex = Mutex(name="srv.qm")
-        qcv = CondVar(name="srv.qcv")
-        # Thread-per-conn accounting: handlers are detached, so the
-        # drain waits on spawned == finished instead of joining tids.
-        active = {"handlers": 0, "spawned": 0, "finished": 0}
-
-        def worker(_):
-            while True:
-                yield from _enter_robust(qmutex)
-                while not queue:
-                    if (yield from qcv.wait(qmutex)):
-                        qmutex.consistent()
-                item = queue.popleft()
-                yield from qmutex.exit()
-                if item is None:
-                    return
-                conn, rid, enq_ns = item
-                yield from _serve(conn, rid, enq_ns, datafd, stats,
-                                  service_compute_usec)
-
-        def handler(conn):
-            rid_raw = yield from _read_request(conn)
-            if rid_raw is not None:
-                rid = rid_raw.decode()
-                yield from _enter_robust(qmutex)
-                over = active["handlers"] >= admission_limit
-                if not over:
-                    active["handlers"] += 1
-                yield from qmutex.exit()
-                if over:
-                    yield from _reject(conn, rid, "handler-cap", stats)
-                else:
-                    now = yield from unistd.gettimeofday()
-                    stats["admitted"] += 1
-                    yield from _note("net-admit", rid, mode=mode)
-                    yield from _serve(conn, rid, now, datafd, stats,
-                                      service_compute_usec)
-                    yield from _enter_robust(qmutex)
-                    active["handlers"] -= 1
-                    yield from qmutex.exit()
-            else:
-                yield from _close_quiet(conn)
-            yield from _enter_robust(qmutex)
-            active["finished"] += 1
-            yield from qcv.broadcast()
-            yield from qmutex.exit()
-
-        def acceptor(_):
-            while True:
-                try:
-                    conn = yield from unistd.accept(lfd)
-                except SyscallError as err:
-                    if err.errno == Errno.EINTR:
-                        continue
-                    if err.errno in (Errno.ECONNABORTED, Errno.EBADF,
-                                     Errno.EINVAL):
-                        break  # listener retired: drain and exit
-                    if err.errno in (Errno.EMFILE, Errno.ENFILE):
-                        # fd table full: let in-flight handlers close
-                        # their conns, then drain the backlog.
-                        yield from unistd.sleep_usec(500.0)
-                        continue
-                    raise
-                m = (yield GetContext()).engine.metrics
-                if m is not None:
-                    m.count("server.accepts")
-                if mode == "thread-per-conn":
-                    active["spawned"] += 1
-                    yield from threads.thread_create(handler, conn)
-                    continue
-                rid_raw = yield from _read_request(conn)
-                if rid_raw is None:
-                    yield from _close_quiet(conn)
-                    continue
-                rid = rid_raw.decode()
-                now = yield from unistd.gettimeofday()
-                yield from _enter_robust(qmutex)
-                if len(queue) >= admission_limit:
-                    if shed == "oldest":
-                        old = queue.popleft()
-                        stats["admitted"] += 1
-                        yield from _note("net-admit", rid, mode=mode)
-                        queue.append((conn, rid, now))
-                        yield from qcv.signal()
-                        yield from qmutex.exit()
-                        yield from _reject(old[0], old[1],
-                                           "shed-oldest", stats)
-                    else:
-                        yield from qmutex.exit()
-                        yield from _reject(conn, rid, "reject-newest",
-                                           stats)
-                    continue
-                stats["admitted"] += 1
-                yield from _note("net-admit", rid, mode=mode)
-                queue.append((conn, rid, now))
-                yield from qcv.signal()
-                yield from qmutex.exit()
-
-        worker_tids = []
-        if mode == "pool":
-            ctx = yield GetContext()
-            for i in range(n_workers):
-                tid = yield from threads.thread_create(
-                    worker, None,
-                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-                worker_tids.append(tid)
-                ctx.process.threadlib.threads[tid].name = f"worker-{i}"
-        else:
-            yield from threads.thread_setconcurrency(n_workers + 1)
-        acceptor_tid = yield from threads.thread_create(
-            acceptor, None,
-            flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-        yield from threads.thread_wait(acceptor_tid)
-
-        if mode == "pool":
-            yield from _enter_robust(qmutex)
-            for _ in worker_tids:
-                queue.append(None)
-            yield from qcv.broadcast()
-            yield from qmutex.exit()
-            for tid in worker_tids:
-                yield from threads.thread_wait(tid)
-        else:
-            yield from _enter_robust(qmutex)
-            while active["finished"] < active["spawned"]:
-                if (yield from qcv.wait(qmutex)):
-                    qmutex.consistent()
-            yield from qmutex.exit()
-        end = yield from unistd.gettimeofday()
-        yield from unistd.close(datafd)
-        _fill_results(results, stats, start, end,
-                      (yield GetContext()))
-
-    return main, results
+    return _program(mode=mode, n_workers=n_workers,
+                    service_compute_usec=service_compute_usec,
+                    backlog=backlog, admission_limit=admission_limit,
+                    shed=shed, port=port)

@@ -116,12 +116,20 @@ class TestEventLoop:
 
     def test_single_thread_no_locks(self):
         """An event-loop run emits no lock contention at all — there is
-        nothing to contend for."""
-        main, res = network_server.build(mode="event-loop", n_clients=2,
-                                         requests_per_client=3)
-        sim = run(main, metrics=True)
-        counters = sim.metrics.snapshot()["counters"]
-        assert counters.get("lwp.sleeps", 0) == 0 or res["served"] == 6
+        nothing to contend for — while the same run as a pool goes
+        through the admission mutex."""
+        def sync_counters(mode):
+            main, res = network_server.build(mode=mode, n_clients=2,
+                                             requests_per_client=3)
+            sim = run(main, metrics=True)
+            assert res["served"] == 6
+            return [k for k in sim.metrics.snapshot()["counters"]
+                    if k.startswith("sync.")]
+
+        assert sync_counters("event-loop") == []
+        pool = sync_counters("pool")
+        assert any(k.startswith("sync.mutex.acquires_")
+                   and k.endswith(".srv.qm") for k in pool), pool
 
     def test_overload_degrades_not_deadlocks(self):
         main, res = network_server.build(
