@@ -40,13 +40,6 @@ from repro.explore.explorer import Explorer, ReproBundle
 from repro.explore.minimize import minimize_schedule
 
 
-def _workload_factories() -> dict:
-    """Seed workloads as (factory, registry ref) pairs (small parameter
-    sets — the stress job runs each K times)."""
-    return {name: (registry.workload_factory(name), f"workload:{name}")
-            for name in registry.WORKLOAD_MODULES}
-
-
 def _example_factories() -> dict:
     """Clean example programs (repo's examples/ dir, when present).
 
@@ -58,7 +51,7 @@ def _example_factories() -> dict:
     factory = registry.example_factory(name)
     if factory is None:
         return {}
-    return {name: (factory, f"example:{name}")}
+    return {name: (factory, f"example:{name}", None)}
 
 
 def _explore(name: str, factory, args, ref: str = None,
@@ -69,36 +62,6 @@ def _explore(name: str, factory, args, ref: str = None,
                         jobs=args.jobs, factory_ref=ref,
                         faults_dict=faults_dict)
     return explorer.explore()
-
-
-def _overload_fault_dict() -> dict:
-    """The net-fault mix the overload gate composes with every
-    schedule: refused connects, stalled accepts (backlog pressure),
-    congested transfers, and the occasional mid-stream reset.  All
-    probabilities are modest — the point is that *no* combination may
-    lose an admitted request, not that the server survives a massacre."""
-    from repro.sim.faults import (AcceptStall, ConnDrop, FaultPlan,
-                                  PacketDelay, PeerReset)
-    return FaultPlan([
-        ConnDrop(mode="refuse", probability=0.05),
-        AcceptStall(stall_usec=2_000.0, probability=0.1),
-        PacketDelay(op="*", max_usec=500.0, probability=0.2),
-        PeerReset(op="send", probability=0.02),
-    ]).to_dict()
-
-
-def _chaos_fault_dict() -> dict:
-    """The crash storm the chaos gate composes with every schedule:
-    three worker kills across a twenty-request run (comfortably past
-    the one-crash-per-ten-requests bar), aimed only at pool workers —
-    killing the acceptor or main is process death, a different test.
-    The supervised server must absorb every storm with a balanced
-    ledger, no orphaned locks, and no restart churn."""
-    from repro.sim.faults import CrashStorm, FaultPlan
-    return FaultPlan([
-        CrashStorm(start_usec=2_000.0, interval_usec=2_500.0,
-                   count=3, target="worker-*"),
-    ]).to_dict()
 
 
 def _dump_bundle(result, out_dir: str) -> str:
@@ -205,55 +168,33 @@ def main(argv=None) -> int:
                         max_events=args.max_events)
                     print("  " + mres.summary())
 
-    if args.clean or args.workloads or args.examples:
-        gate = {}
-        if args.clean:
-            gate.update({name: (factory, f"clean:{name}")
-                         for name, factory in corpus.CLEAN.items()})
-        if args.workloads:
-            gate.update(_workload_factories())
-        if args.examples:
-            gate.update(_example_factories())
-        for name, (factory, ref) in gate.items():
-            if args.programs and name not in args.programs:
-                continue
-            report = _explore(name, factory, args, ref=ref)
-            print(report.summary())
-            if report.failures:
-                failures += 1
-                if args.out:
-                    for res in report.failures:
-                        print(f"  bundle: {_dump_bundle(res, args.out)}")
-
-    if args.overload:
-        faults_dict = _overload_fault_dict()
-        for name in registry.OVERLOAD_SCENARIOS:
-            if args.programs and name not in args.programs:
-                continue
-            factory = registry.overload_factory(name)
-            report = _explore(name, factory, args, ref=f"overload:{name}",
-                              faults_dict=faults_dict)
-            print(report.summary())
-            if report.failures:
-                failures += 1
-                if args.out:
-                    for res in report.failures:
-                        print(f"  bundle: {_dump_bundle(res, args.out)}")
-
-    if args.chaos:
-        faults_dict = _chaos_fault_dict()
-        for name in registry.CHAOS_SCENARIOS:
-            if args.programs and name not in args.programs:
-                continue
-            factory = registry.chaos_factory(name)
-            report = _explore(name, factory, args, ref=f"chaos:{name}",
-                              faults_dict=faults_dict)
-            print(report.summary())
-            if report.failures:
-                failures += 1
-                if args.out:
-                    for res in report.failures:
-                        print(f"  bundle: {_dump_bundle(res, args.out)}")
+    # Every program below must come back finding-free.
+    gate = {}   # name -> (factory, registry ref, fault-plan dict)
+    if args.clean:
+        gate.update({name: (factory, f"clean:{name}", None)
+                     for name, factory in corpus.CLEAN.items()})
+    if args.workloads:
+        gate.update({name: (registry.workload_factory(name),
+                            f"workload:{name}", None)
+                     for name in registry.WORKLOAD_MODULES})
+    if args.examples:
+        gate.update(_example_factories())
+    for kind, spec in registry.GATES.items():
+        if getattr(args, kind):
+            gate.update({name: (registry.gate_factory(kind, name),
+                                f"{kind}:{name}", spec["faults"])
+                         for name in spec["scenarios"]})
+    for name, (factory, ref, faults_dict) in gate.items():
+        if args.programs and name not in args.programs:
+            continue
+        report = _explore(name, factory, args, ref=ref,
+                          faults_dict=faults_dict)
+        print(report.summary())
+        if report.failures:
+            failures += 1
+            if args.out:
+                for res in report.failures:
+                    print(f"  bundle: {_dump_bundle(res, args.out)}")
 
     if failures:
         print(f"\n{failures} program(s) FAILED the gate")

@@ -38,19 +38,6 @@ from repro.load.bakeoff import (ARCHITECTURES, DEFAULT_MAX_EVENTS,
                                 run_bakeoff, to_json)
 
 
-def _net_fault_dict() -> dict:
-    """The overload gate's composable net-fault mix (same rates as
-    ``repro.explore --overload``)."""
-    from repro.sim.faults import (AcceptStall, ConnDrop, FaultPlan,
-                                  PacketDelay, PeerReset)
-    return FaultPlan([
-        ConnDrop(mode="refuse", probability=0.05),
-        AcceptStall(stall_usec=2_000.0, probability=0.1),
-        PacketDelay(op="*", max_usec=500.0, probability=0.2),
-        PeerReset(op="send", probability=0.02),
-    ]).to_dict()
-
-
 def _arrival_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clients", type=int, default=10_000,
                    help="client count = requests in the open-loop trace "
@@ -176,7 +163,8 @@ def main(argv=None) -> int:
 
     faults = None
     if args.net_faults:
-        faults = _net_fault_dict()
+        from repro.explore.registry import GATES
+        faults = GATES["overload"]["faults"]
     if args.faults:
         with open(args.faults) as fh:
             faults = json.load(fh)

@@ -1,4 +1,5 @@
-"""Deterministic fault injection.
+"""Deterministic fault injection, and the rule/plan base it shares with
+schedule plans.
 
 A :class:`FaultPlan` is a declarative list of fault rules attached to a
 booted kernel.  All randomness is drawn from the engine's named seeded
@@ -36,14 +37,21 @@ the natural failure points of the simulated socket layer):
   (both endpoints see ``ECONNRESET``), modeling a peer crash or a
   middlebox RST.
 
-Plans serialize to plain dicts (:meth:`FaultPlan.to_dict` /
-:meth:`FaultPlan.from_dict`) so a schedule can be stored alongside a bug
-report and replayed exactly.
+Fault and schedule plans (:mod:`repro.sim.schedule`) share one base.
+Each rule kind is a dataclass :class:`Rule` whose constructor fields are
+its serialized form, registered in its family's ``KINDS``.
+:class:`Plan` owns the rule list, attaching once, arming, the seeded
+sub-streams (``faults/<name>`` here) and the plan dict ``{"rules":
+[...]}`` stored next to a bug report for exact replay.  Plan dicts are
+strict: an unknown kind, an unknown or missing field, or a plan key
+other than ``rules`` raises :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
 
 import fnmatch
+from dataclasses import KW_ONLY, MISSING, dataclass, field, fields
+from enum import Enum
 from typing import Optional
 
 from repro.errors import Errno, SimulationError
@@ -59,26 +67,132 @@ def _errno_of(value) -> Errno:
         raise SimulationError(f"unknown errno: {value!r}") from None
 
 
-class FaultRule:
-    """Base class: serialization plumbing shared by all rule kinds."""
+def check_probability(probability: float) -> None:
+    """The range check every probability-taking rule kind shares."""
+    if not 0.0 <= probability <= 1.0:
+        raise SimulationError(f"bad probability {probability}")
+
+
+def _params(cls) -> list:
+    """``cls``'s constructor fields, in signature order."""
+    return sorted((f for f in fields(cls) if f.init), key=lambda f: f.kw_only)
+
+
+class Rule:
+    """One declarative rule; kinds are ``@dataclass(eq=False)`` subclasses.
+
+    A kind subclasses its family base (:class:`FaultRule` or
+    :class:`repro.sim.schedule.ScheduleRule`) and sets ``KIND``, which
+    registers it in the family's ``KINDS``.  Its constructor fields are
+    what :meth:`to_dict` writes and :meth:`from_dict` reads back;
+    ``init=False`` fields are runtime state that :meth:`arm` resets.
+    """
 
     KIND = ""
+    FAMILY = ""
 
-    def arm(self, plan: "FaultPlan", kernel) -> None:
-        """Bind runtime state when the plan attaches to a kernel."""
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "KIND" in vars(cls):
+            cls.KINDS[cls.KIND] = cls
+
+    def arm(self, plan: "Plan", host) -> None:
+        """Bind runtime state when the plan attaches (``host`` is the
+        kernel for fault rules, the engine for schedule rules)."""
 
     def to_dict(self) -> dict:
+        """``kind`` plus every constructor field: lists are copied,
+        enums written by name."""
+        data = {"kind": self.KIND}
+        for f in _params(type(self)):
+            value = getattr(self, f.name)
+            data[f.name] = (value.name if isinstance(value, Enum) else
+                            list(value) if isinstance(value, list) else value)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Rule":
+        """Rebuild a rule of this family from its :meth:`to_dict` form."""
+        kwargs = dict(data)
+        kind = kwargs.pop("kind", None)
+        rule_cls = cls.KINDS.get(kind)
+        if rule_cls is None:
+            raise SimulationError(f"unknown {cls.FAMILY} rule kind: {kind!r}")
+        params = _params(rule_cls)
+        bad = [f"unknown field {k!r}"
+               for k in sorted(kwargs.keys() - {f.name for f in params})]
+        bad += [f"missing field {f.name!r}" for f in params
+                if f.name not in kwargs and f.default is MISSING
+                and f.default_factory is MISSING]
+        if bad:
+            raise SimulationError(f"{cls.FAMILY} rule {kind!r}: "
+                                  + ", ".join(bad))
+        return rule_cls(**kwargs)
+
+
+class Plan:
+    """A declarative, replayable rule list attached to one simulation.
+
+    The shared base of :class:`FaultPlan` and
+    :class:`repro.sim.schedule.SchedulePlan`.  A plan attaches exactly
+    once (runtime rule state is per-attachment); serialize and rebuild
+    to reuse one.
+    """
+
+    RULE = Rule    # the family base: from_dict resolves kinds through it
+    STREAM = ""    # prefix of the plan's seeded sub-streams
+
+    def __init__(self, rules=()):
+        self.rules: list[Rule] = list(rules)
+        self.engine = None
+
+    def add(self, rule: Rule) -> "Plan":
+        """Append a rule; chainable.  Must be called before attach."""
+        if self.engine is not None:
+            raise SimulationError("cannot add rules to an attached plan")
+        self.rules.append(rule)
+        return self
+
+    def attach(self, host) -> None:
+        """Bind this plan to ``host`` (a kernel for a fault plan, an
+        engine for a schedule plan), then arm every rule against it."""
+        if self.engine is not None:
+            raise SimulationError(f"{type(self).__name__} is already "
+                                  "attached")
+        self.engine = self._bind(host)
+        for rule in self.rules:
+            rule.arm(self, host)
+
+    def _bind(self, host):
+        """Point ``host`` at this plan, reset the per-run record, and
+        return the engine whose seeded streams the plan draws from."""
         raise NotImplementedError
 
-    @staticmethod
-    def from_dict(data: dict) -> "FaultRule":
-        kind = data.get("kind")
-        cls = _RULE_KINDS.get(kind)
-        if cls is None:
-            raise SimulationError(f"unknown fault rule kind: {kind!r}")
-        return cls._from_dict(data)
+    def rng(self, name: str):
+        """The plan's seeded sub-stream for ``name``."""
+        return self.engine.rng.stream(f"{self.STREAM}/{name}")
+
+    def to_dict(self) -> dict:
+        return {"rules": [r.to_dict() for r in self.rules]}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Plan":
+        """Rebuild a plan from its :meth:`to_dict` form."""
+        unknown = sorted(set(data) - {"rules"})
+        if unknown:
+            raise SimulationError(f"{cls.__name__} dict: unknown "
+                                  f"field(s) {unknown}")
+        return cls(cls.RULE.from_dict(d) for d in data.get("rules", ()))
 
 
+class FaultRule(Rule):
+    """Base of the fault rule kinds; ``KINDS`` is their registry."""
+
+    FAMILY = "fault"
+    KINDS = {}
+
+
+@dataclass(eq=False)
 class SelectedRule(FaultRule):
     """Shared selection plumbing: which occurrences of an event fault.
 
@@ -90,20 +204,18 @@ class SelectedRule(FaultRule):
     starts).
     """
 
-    def __init__(self, probability: float = 1.0,
-                 every: Optional[int] = None,
-                 max_count: Optional[int] = None, skip: int = 0):
-        if every is not None and every < 1:
-            raise SimulationError(f"every must be >= 1, got {every}")
-        if not 0.0 <= probability <= 1.0:
-            raise SimulationError(f"bad probability {probability}")
-        self.probability = probability
-        self.every = every
-        self.max_count = max_count
-        self.skip = skip
-        # Runtime counters (reset when the plan attaches).
-        self.seen = 0
-        self.injected = 0
+    _: KW_ONLY
+    probability: float = 1.0
+    every: Optional[int] = None
+    max_count: Optional[int] = None
+    skip: int = 0
+    seen: int = field(default=0, init=False)
+    injected: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        if self.every is not None and self.every < 1:
+            raise SimulationError(f"every must be >= 1, got {self.every}")
+        check_probability(self.probability)
 
     def arm(self, plan: "FaultPlan", kernel) -> None:
         self.seen = 0
@@ -124,17 +236,8 @@ class SelectedRule(FaultRule):
             self.injected += 1
         return hit
 
-    def _selection_dict(self) -> dict:
-        return {"probability": self.probability, "every": self.every,
-                "max_count": self.max_count, "skip": self.skip}
 
-    @staticmethod
-    def _selection_kwargs(d: dict) -> dict:
-        return dict(probability=d.get("probability", 1.0),
-                    every=d.get("every"), max_count=d.get("max_count"),
-                    skip=d.get("skip", 0))
-
-
+@dataclass(eq=False)
 class SyscallFault(SelectedRule):
     """Fail a named system call with an injected errno.
 
@@ -144,23 +247,15 @@ class SyscallFault(SelectedRule):
 
     KIND = "syscall"
 
-    def __init__(self, call: str, errno, probability: float = 1.0,
-                 every: Optional[int] = None,
-                 max_count: Optional[int] = None, skip: int = 0):
-        super().__init__(probability=probability, every=every,
-                         max_count=max_count, skip=skip)
-        self.call = call
-        self.errno = _errno_of(errno)
+    call: str
+    errno: Errno
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "call": self.call,
-                "errno": self.errno.name, **self._selection_dict()}
-
-    @classmethod
-    def _from_dict(cls, d: dict) -> "SyscallFault":
-        return cls(d["call"], d["errno"], **cls._selection_kwargs(d))
+    def __post_init__(self):
+        super().__post_init__()
+        self.errno = _errno_of(self.errno)
 
 
+@dataclass(eq=False)
 class PageFaultStorm(FaultRule):
     """At ``at_usec``, evict resident pages of matching memory objects.
 
@@ -172,10 +267,9 @@ class PageFaultStorm(FaultRule):
 
     KIND = "storm"
 
-    def __init__(self, at_usec: float, pattern: str = "*"):
-        self.at_usec = at_usec
-        self.pattern = pattern
-        self.evicted = 0
+    at_usec: float
+    pattern: str = "*"
+    evicted: int = field(default=0, init=False)
 
     def arm(self, plan: "FaultPlan", kernel) -> None:
         self.evicted = 0
@@ -193,15 +287,8 @@ class PageFaultStorm(FaultRule):
 
         kernel.engine.call_at(usec(self.at_usec), fire, tag="fault-storm")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "at_usec": self.at_usec,
-                "pattern": self.pattern}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "PageFaultStorm":
-        return cls(d["at_usec"], d.get("pattern", "*"))
-
-
+@dataclass(eq=False)
 class TimerJitter(FaultRule):
     """Stretch nanosleep durations by up to ``max_usec`` (seeded).
 
@@ -211,26 +298,34 @@ class TimerJitter(FaultRule):
 
     KIND = "jitter"
 
-    def __init__(self, max_usec: float, probability: float = 1.0):
-        if max_usec < 0:
-            raise SimulationError(f"negative jitter {max_usec}")
-        self.max_usec = max_usec
-        self.probability = probability
+    max_usec: float
+    probability: float = 1.0
+
+    def __post_init__(self):
+        if self.max_usec < 0:
+            raise SimulationError(f"negative jitter {self.max_usec}")
+        check_probability(self.probability)
 
     def jitter_ns(self, rng) -> int:
         if self.probability < 1.0 and rng.random() >= self.probability:
             return 0
         return rng.randint(0, usec(self.max_usec))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "max_usec": self.max_usec,
-                "probability": self.probability}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "TimerJitter":
-        return cls(d["max_usec"], probability=d.get("probability", 1.0))
+def _pick_victim(plan: "FaultPlan", kernel, pid: Optional[int], accept):
+    """One live LWP that ``accept`` takes, from the active processes
+    (only ``pid`` when given); several candidates draw from the plan's
+    ``crash`` stream."""
+    from repro.kernel.process import ProcState
+    candidates = [lwp for p, proc in sorted(kernel.processes.items())
+                  if proc.state is ProcState.ACTIVE and pid in (None, p)
+                  for lwp in proc.live_lwps() if accept(lwp)]
+    if len(candidates) < 2:
+        return candidates[0] if candidates else None
+    return plan.rng("crash").choice(candidates)
 
 
+@dataclass(eq=False)
 class LwpCrash(FaultRule):
     """At ``at_usec``, terminate one LWP as if the kernel reclaimed it.
 
@@ -241,18 +336,18 @@ class LwpCrash(FaultRule):
 
     KIND = "crash"
 
-    def __init__(self, at_usec: float, pid: Optional[int] = None,
-                 lwp_id: Optional[int] = None):
-        self.at_usec = at_usec
-        self.pid = pid
-        self.lwp_id = lwp_id
-        self.victim_name: Optional[str] = None
+    at_usec: float
+    pid: Optional[int] = None
+    lwp_id: Optional[int] = None
+    victim_name: Optional[str] = field(default=None, init=False)
 
     def arm(self, plan: "FaultPlan", kernel) -> None:
         self.victim_name = None
 
         def fire():
-            victim = self._pick(plan, kernel)
+            victim = _pick_victim(
+                plan, kernel, self.pid,
+                lambda lwp: self.lwp_id in (None, lwp.lwp_id))
             if victim is None:
                 return
             self.victim_name = victim.name
@@ -261,34 +356,8 @@ class LwpCrash(FaultRule):
 
         kernel.engine.call_at(usec(self.at_usec), fire, tag="fault-crash")
 
-    def _pick(self, plan: "FaultPlan", kernel):
-        from repro.kernel.process import ProcState
-        candidates = []
-        for pid in sorted(kernel.processes):
-            proc = kernel.processes[pid]
-            if proc.state is not ProcState.ACTIVE:
-                continue
-            if self.pid is not None and pid != self.pid:
-                continue
-            for lwp in proc.live_lwps():
-                if self.lwp_id is not None and lwp.lwp_id != self.lwp_id:
-                    continue
-                candidates.append(lwp)
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        return plan.rng("crash").choice(candidates)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "at_usec": self.at_usec,
-                "pid": self.pid, "lwp_id": self.lwp_id}
-
-    @classmethod
-    def _from_dict(cls, d: dict) -> "LwpCrash":
-        return cls(d["at_usec"], pid=d.get("pid"), lwp_id=d.get("lwp_id"))
-
-
+@dataclass(eq=False)
 class CrashStorm(FaultRule):
     """Kill one matching LWP every ``interval_usec``, ``count`` times.
 
@@ -308,23 +377,27 @@ class CrashStorm(FaultRule):
 
     KIND = "crash-storm"
 
-    def __init__(self, start_usec: float, interval_usec: float,
-                 count: int, target: str = "*", pid: Optional[int] = None):
-        if interval_usec <= 0:
-            raise SimulationError(f"bad storm interval {interval_usec}")
-        if count < 1:
-            raise SimulationError(f"bad storm count {count}")
-        self.start_usec = start_usec
-        self.interval_usec = interval_usec
-        self.count = count
-        self.target = target
-        self.pid = pid
-        self.killed = 0
-        self.victims: list[str] = []
+    start_usec: float
+    interval_usec: float
+    count: int
+    target: str = "*"
+    pid: Optional[int] = None
+    killed: int = field(default=0, init=False)
+    victims: list[str] = field(default_factory=list, init=False)
+
+    def __post_init__(self):
+        if self.interval_usec <= 0:
+            raise SimulationError(f"bad storm interval {self.interval_usec}")
+        if self.count < 1:
+            raise SimulationError(f"bad storm count {self.count}")
 
     def arm(self, plan: "FaultPlan", kernel) -> None:
         self.killed = 0
         self.victims = []
+
+        def rides_target(lwp) -> bool:
+            name = getattr(lwp.current_thread, "name", None)
+            return name is not None and fnmatch.fnmatch(name, self.target)
 
         def tick():
             from repro.kernel.process import ProcState
@@ -333,7 +406,7 @@ class CrashStorm(FaultRule):
             if not any(p.state is ProcState.ACTIVE
                        for p in kernel.processes.values()):
                 return   # everyone exited; stop re-arming
-            victim = self._pick(plan, kernel)
+            victim = _pick_victim(plan, kernel, self.pid, rides_target)
             if victim is not None:
                 self.killed += 1
                 self.victims.append(victim.name)
@@ -349,42 +422,12 @@ class CrashStorm(FaultRule):
         kernel.engine.call_at(usec(self.start_usec), tick,
                               tag="fault-crash-storm")
 
-    def _pick(self, plan: "FaultPlan", kernel):
-        from repro.kernel.process import ProcState
-        candidates = []
-        for pid in sorted(kernel.processes):
-            proc = kernel.processes[pid]
-            if proc.state is not ProcState.ACTIVE:
-                continue
-            if self.pid is not None and pid != self.pid:
-                continue
-            for lwp in proc.live_lwps():
-                thread = lwp.current_thread
-                name = getattr(thread, "name", None)
-                if name is None or not fnmatch.fnmatch(name, self.target):
-                    continue
-                candidates.append(lwp)
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        return plan.rng("crash").choice(candidates)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "start_usec": self.start_usec,
-                "interval_usec": self.interval_usec, "count": self.count,
-                "target": self.target, "pid": self.pid}
-
-    @classmethod
-    def _from_dict(cls, d: dict) -> "CrashStorm":
-        return cls(d["start_usec"], d["interval_usec"], d["count"],
-                   target=d.get("target", "*"), pid=d.get("pid"))
-
 
 # =====================================================================
 # Network rules (the simulated socket layer, repro.kernel.net)
 # =====================================================================
 
+@dataclass(eq=False)
 class ConnDrop(SelectedRule):
     """Drop or refuse connects against a matching port.
 
@@ -397,35 +440,22 @@ class ConnDrop(SelectedRule):
     KIND = "conn-drop"
     MODES = ("refuse", "timeout")
 
-    def __init__(self, port: Optional[int] = None, mode: str = "refuse",
-                 timeout_usec: float = 3_000.0, probability: float = 1.0,
-                 every: Optional[int] = None,
-                 max_count: Optional[int] = None, skip: int = 0):
-        super().__init__(probability=probability, every=every,
-                         max_count=max_count, skip=skip)
-        if mode not in self.MODES:
-            raise SimulationError(f"bad ConnDrop mode {mode!r}")
-        if timeout_usec < 0:
-            raise SimulationError(f"negative timeout {timeout_usec}")
-        self.port = port
-        self.mode = mode
-        self.timeout_usec = timeout_usec
+    port: Optional[int] = None
+    mode: str = "refuse"
+    timeout_usec: float = 3_000.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.mode not in self.MODES:
+            raise SimulationError(f"bad ConnDrop mode {self.mode!r}")
+        if self.timeout_usec < 0:
+            raise SimulationError(f"negative timeout {self.timeout_usec}")
 
     def matches(self, port: int) -> bool:
         return self.port is None or self.port == port
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "port": self.port, "mode": self.mode,
-                "timeout_usec": self.timeout_usec,
-                **self._selection_dict()}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "ConnDrop":
-        return cls(port=d.get("port"), mode=d.get("mode", "refuse"),
-                   timeout_usec=d.get("timeout_usec", 3_000.0),
-                   **cls._selection_kwargs(d))
-
-
+@dataclass(eq=False)
 class AcceptStall(SelectedRule):
     """Stall an accept on a matching port for ``stall_usec`` before it
     looks at the backlog — a server-side interrupt storm or overloaded
@@ -434,31 +464,19 @@ class AcceptStall(SelectedRule):
 
     KIND = "accept-stall"
 
-    def __init__(self, port: Optional[int] = None,
-                 stall_usec: float = 2_000.0, probability: float = 1.0,
-                 every: Optional[int] = None,
-                 max_count: Optional[int] = None, skip: int = 0):
-        super().__init__(probability=probability, every=every,
-                         max_count=max_count, skip=skip)
-        if stall_usec < 0:
-            raise SimulationError(f"negative stall {stall_usec}")
-        self.port = port
-        self.stall_usec = stall_usec
+    port: Optional[int] = None
+    stall_usec: float = 2_000.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.stall_usec < 0:
+            raise SimulationError(f"negative stall {self.stall_usec}")
 
     def matches(self, port: int) -> bool:
         return self.port is None or self.port == port
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "port": self.port,
-                "stall_usec": self.stall_usec, **self._selection_dict()}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "AcceptStall":
-        return cls(port=d.get("port"),
-                   stall_usec=d.get("stall_usec", 2_000.0),
-                   **cls._selection_kwargs(d))
-
-
+@dataclass(eq=False)
 class PacketDelay(SelectedRule):
     """Extra per-transfer latency on matching socket I/O.
 
@@ -471,31 +489,21 @@ class PacketDelay(SelectedRule):
     KIND = "packet-delay"
     OPS = ("send", "recv", "*")
 
-    def __init__(self, op: str = "*", max_usec: float = 1_000.0,
-                 probability: float = 1.0, every: Optional[int] = None,
-                 max_count: Optional[int] = None, skip: int = 0):
-        super().__init__(probability=probability, every=every,
-                         max_count=max_count, skip=skip)
-        if op not in self.OPS:
-            raise SimulationError(f"bad PacketDelay op {op!r}")
-        if max_usec < 0:
-            raise SimulationError(f"negative delay {max_usec}")
-        self.op = op
-        self.max_usec = max_usec
+    op: str = "*"
+    max_usec: float = 1_000.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.op not in self.OPS:
+            raise SimulationError(f"bad PacketDelay op {self.op!r}")
+        if self.max_usec < 0:
+            raise SimulationError(f"negative delay {self.max_usec}")
 
     def matches(self, op: str) -> bool:
         return self.op == "*" or self.op == op
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "op": self.op,
-                "max_usec": self.max_usec, **self._selection_dict()}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "PacketDelay":
-        return cls(op=d.get("op", "*"), max_usec=d.get("max_usec", 1_000.0),
-                   **cls._selection_kwargs(d))
-
-
+@dataclass(eq=False)
 class PeerReset(SelectedRule):
     """Destroy a matching connection mid-stream (RST both endpoints).
 
@@ -509,36 +517,20 @@ class PeerReset(SelectedRule):
     KIND = "peer-reset"
     OPS = ("send", "recv", "*")
 
-    def __init__(self, op: str = "*", pattern: str = "*",
-                 probability: float = 1.0, every: Optional[int] = None,
-                 max_count: Optional[int] = None, skip: int = 0):
-        super().__init__(probability=probability, every=every,
-                         max_count=max_count, skip=skip)
-        if op not in self.OPS:
-            raise SimulationError(f"bad PeerReset op {op!r}")
-        self.op = op
-        self.pattern = pattern
+    op: str = "*"
+    pattern: str = "*"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.op not in self.OPS:
+            raise SimulationError(f"bad PeerReset op {self.op!r}")
 
     def matches(self, op: str, sock_name: str) -> bool:
         return ((self.op == "*" or self.op == op)
                 and fnmatch.fnmatch(sock_name, self.pattern))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "op": self.op, "pattern": self.pattern,
-                **self._selection_dict()}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "PeerReset":
-        return cls(op=d.get("op", "*"), pattern=d.get("pattern", "*"),
-                   **cls._selection_kwargs(d))
-
-
-_RULE_KINDS = {cls.KIND: cls for cls in
-               (SyscallFault, PageFaultStorm, TimerJitter, LwpCrash,
-                CrashStorm, ConnDrop, AcceptStall, PacketDelay, PeerReset)}
-
-
-class FaultPlan:
+class FaultPlan(Plan):
     """A declarative, replayable set of fault rules.
 
     Build one, then either pass it to ``Simulator(faults=plan)`` or call
@@ -552,34 +544,20 @@ class FaultPlan:
     per-attachment); serialize and rebuild to reuse a schedule.
     """
 
+    RULE = FaultRule
+    STREAM = "faults"
+
     def __init__(self, rules=()):
-        self.rules: list[FaultRule] = list(rules)
+        super().__init__(rules)
         self.kernel = None
         self.injections = 0
 
-    def add(self, rule: FaultRule) -> "FaultPlan":
-        """Append a rule; chainable.  Must be called before attach."""
-        if self.kernel is not None:
-            raise SimulationError("cannot add rules to an attached plan")
-        self.rules.append(rule)
-        return self
-
-    # --------------------------------------------------------- attachment
-
-    def attach(self, kernel) -> None:
-        """Bind this plan to a kernel: rules arm, timed rules schedule."""
-        if self.kernel is not None:
-            raise SimulationError("fault plan is already attached")
+    def _bind(self, kernel):
         self.kernel = kernel
         kernel.faults = self
         kernel.engine.faults = self
         self.injections = 0
-        for rule in self.rules:
-            rule.arm(self, kernel)
-
-    def rng(self, name: str):
-        """The plan's seeded sub-stream for ``name``."""
-        return self.kernel.engine.rng.stream(f"faults/{name}")
+        return kernel.engine
 
     def note(self, kernel, event: str, subject: str, **detail) -> None:
         """Trace one injection (category ``"fault"``)."""
@@ -653,12 +631,3 @@ class FaultPlan:
                     self.note(self.kernel, "peer-reset", sock_name, op=op)
                     return True
         return False
-
-    # ------------------------------------------------------ serialization
-
-    def to_dict(self) -> dict:
-        return {"rules": [r.to_dict() for r in self.rules]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        return cls(FaultRule.from_dict(d) for d in data.get("rules", ()))

@@ -40,8 +40,11 @@ Rule kinds:
   perturbation of *when* but of *policy* — the explorer's scheduler
   matrix axis.
 
-Plans compose with fault plans — ``Simulator(faults=..., schedule=...)``
-— for fault × schedule stress, and serialize to plain dicts for repro
+Kinds and plans share the fault plans' base (:class:`repro.sim.faults.
+Rule` / :class:`~repro.sim.faults.Plan`), with their own registry
+(``ScheduleRule.KINDS``) and ``schedule/<name>`` streams.  Plans compose
+with fault plans — ``Simulator(faults=..., schedule=...)`` — for fault ×
+schedule stress, and serialize to the same strict plain dicts for repro
 bundles (:meth:`SchedulePlan.to_dict` / :meth:`SchedulePlan.from_dict`).
 """
 
@@ -49,18 +52,18 @@ from __future__ import annotations
 
 import fnmatch
 import re
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import SimulationError
+from repro.sim.faults import Plan, Rule, check_probability
 
 
-class ScheduleRule:
-    """Base class: serialization plumbing shared by all rule kinds."""
+class ScheduleRule(Rule):
+    """Base of the schedule rule kinds; ``KINDS`` is their registry."""
 
-    KIND = ""
-
-    def arm(self, plan: "SchedulePlan", engine) -> None:
-        """Reset runtime state when the plan attaches to an engine."""
+    FAMILY = "schedule"
+    KINDS = {}
 
     def preempt_here(self, plan: "SchedulePlan", index: int, op: str,
                      name: Optional[str]) -> bool:
@@ -72,18 +75,8 @@ class ScheduleRule:
         overrides the default FIFO pick, None declines."""
         return None
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
 
-    @staticmethod
-    def from_dict(data: dict) -> "ScheduleRule":
-        kind = data.get("kind")
-        cls = _RULE_KINDS.get(kind)
-        if cls is None:
-            raise SimulationError(f"unknown schedule rule kind: {kind!r}")
-        return cls._from_dict(data)
-
-
+@dataclass(eq=False)
 class RandomPreempt(ScheduleRule):
     """Preempt at each yield point with probability ``probability``.
 
@@ -96,26 +89,25 @@ class RandomPreempt(ScheduleRule):
 
     KIND = "random"
 
-    def __init__(self, probability: float = 0.1,
-                 ops: Optional[list] = None,
-                 max_count: Optional[int] = None, skip: int = 0):
-        if not 0.0 <= probability <= 1.0:
-            raise SimulationError(f"bad probability {probability}")
-        self.probability = probability
-        self.ops = list(ops) if ops is not None else None
+    probability: float = 0.1
+    ops: Optional[list] = None
+    max_count: Optional[int] = None
+    skip: int = 0
+    seen: int = field(default=0, init=False)
+    injected: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        check_probability(self.probability)
         # fnmatch.fnmatch re-resolves its pattern cache per call; on the
         # hot consult path we precompile the union once instead.
         if self.ops is None:
             self._ops_re = None
         else:
+            self.ops = list(self.ops)
             # "(?!)" never matches: an explicit empty ops list means
             # "no op qualifies", same as the fnmatch-any over [].
             self._ops_re = re.compile("|".join(
                 fnmatch.translate(p) for p in self.ops) or r"(?!)").match
-        self.max_count = max_count
-        self.skip = skip
-        self.seen = 0
-        self.injected = 0
 
     def arm(self, plan: "SchedulePlan", engine) -> None:
         self.seen = 0
@@ -141,18 +133,8 @@ class RandomPreempt(ScheduleRule):
         self.injected += 1
         return True
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "probability": self.probability,
-                "ops": self.ops, "max_count": self.max_count,
-                "skip": self.skip}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "RandomPreempt":
-        return cls(probability=d.get("probability", 0.1),
-                   ops=d.get("ops"), max_count=d.get("max_count"),
-                   skip=d.get("skip", 0))
-
-
+@dataclass(eq=False)
 class ForcedPreempt(ScheduleRule):
     """Preempt at an explicit set of global yield-point indices.
 
@@ -164,21 +146,17 @@ class ForcedPreempt(ScheduleRule):
 
     KIND = "forced"
 
-    def __init__(self, points):
-        self.points = sorted(set(int(p) for p in points))
+    points: list
+
+    def __post_init__(self):
+        self.points = sorted(set(int(p) for p in self.points))
         self._set = set(self.points)
 
     def preempt_here(self, plan, index, op, name) -> bool:
         return index in self._set
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "points": list(self.points)}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "ForcedPreempt":
-        return cls(d.get("points", ()))
-
-
+@dataclass(eq=False)
 class RandomPick(ScheduleRule):
     """Replace the FIFO run-queue pick with a uniform random runnable.
 
@@ -189,11 +167,11 @@ class RandomPick(ScheduleRule):
 
     KIND = "pick"
 
-    def __init__(self, probability: float = 0.5):
-        if not 0.0 <= probability <= 1.0:
-            raise SimulationError(f"bad probability {probability}")
-        self.probability = probability
-        self.perturbed = 0
+    probability: float = 0.5
+    perturbed: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        check_probability(self.probability)
 
     def arm(self, plan: "SchedulePlan", engine) -> None:
         self.perturbed = 0
@@ -208,14 +186,8 @@ class RandomPick(ScheduleRule):
         self.perturbed += 1
         return rng.choice(snapshot)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "probability": self.probability}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "RandomPick":
-        return cls(probability=d.get("probability", 0.5))
-
-
+@dataclass(eq=False)
 class PctPriorities(ScheduleRule):
     """PCT-style scheduling: strict random priorities over threads.
 
@@ -228,15 +200,14 @@ class PctPriorities(ScheduleRule):
 
     KIND = "pct"
 
-    def __init__(self, change_every: int = 0):
-        if change_every < 0:
-            raise SimulationError(f"bad change_every {change_every}")
-        self.change_every = change_every
-        self._prio: dict[int, float] = {}
-        self._picks = 0
+    change_every: int = 0
+
+    def __post_init__(self):
+        if self.change_every < 0:
+            raise SimulationError(f"bad change_every {self.change_every}")
 
     def arm(self, plan: "SchedulePlan", engine) -> None:
-        self._prio.clear()
+        self._prio: dict[int, float] = {}
         self._picks = 0
         self._rng = plan.rng("pct")
 
@@ -253,14 +224,8 @@ class PctPriorities(ScheduleRule):
             self._prio[id(victim)] = rng.random()
         return max(snapshot, key=lambda t: self._prio[id(t)])
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "change_every": self.change_every}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "PctPriorities":
-        return cls(change_every=d.get("change_every", 0))
-
-
+@dataclass(eq=False)
 class SchedulerChoice(ScheduleRule):
     """Run the workload under a named kernel scheduling class.
 
@@ -274,26 +239,16 @@ class SchedulerChoice(ScheduleRule):
 
     KIND = "scheduler"
 
-    def __init__(self, sched_class: str = "TS"):
-        self.sched_class = str(sched_class)
+    sched_class: str = "TS"
+
+    def __post_init__(self):
+        self.sched_class = str(self.sched_class)
 
     def arm(self, plan: "SchedulePlan", engine) -> None:
         engine.sched_class_override = self.sched_class
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "sched_class": self.sched_class}
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "SchedulerChoice":
-        return cls(sched_class=d.get("sched_class", "TS"))
-
-
-_RULE_KINDS = {cls.KIND: cls for cls in
-               (RandomPreempt, ForcedPreempt, RandomPick, PctPriorities,
-                SchedulerChoice)}
-
-
-class SchedulePlan:
+class SchedulePlan(Plan):
     """A declarative, replayable schedule perturbation.
 
     Build one, then pass it to ``Simulator(schedule=plan)`` or call
@@ -312,38 +267,22 @@ class SchedulePlan:
     :func:`repro.explore.minimize.minimize_schedule` to shrink it.
     """
 
+    RULE = ScheduleRule
+    STREAM = "schedule"
+
     def __init__(self, rules=()):
-        self.rules: list[ScheduleRule] = list(rules)
-        self.engine = None
+        super().__init__(rules)
         # Runtime record (reset on attach).
         self.points_seen = 0        # yield points consulted
         self.preemptions = 0        # preemptions requested
         self.fired: list[int] = []  # indices where preemption fired
 
-    def add(self, rule: ScheduleRule) -> "SchedulePlan":
-        """Append a rule; chainable.  Must be called before attach."""
-        if self.engine is not None:
-            raise SimulationError("cannot add rules to an attached plan")
-        self.rules.append(rule)
-        return self
-
-    # --------------------------------------------------------- attachment
-
-    def attach(self, engine) -> None:
-        """Bind this plan to an engine: yield points start consulting it."""
-        if self.engine is not None:
-            raise SimulationError("schedule plan is already attached")
-        self.engine = engine
+    def _bind(self, engine):
         engine.schedule = self
         self.points_seen = 0
         self.preemptions = 0
         self.fired = []
-        for rule in self.rules:
-            rule.arm(self, engine)
-
-    def rng(self, name: str):
-        """The plan's seeded sub-stream for ``name``."""
-        return self.engine.rng.stream(f"schedule/{name}")
+        return engine
 
     # ------------------------------------------------------ consultations
 
@@ -374,13 +313,3 @@ class SchedulePlan:
             if choice is not None:
                 return choice
         return None
-
-    # ------------------------------------------------------ serialization
-
-    def to_dict(self) -> dict:
-        return {"rules": [r.to_dict() for r in self.rules]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SchedulePlan":
-        return cls(ScheduleRule.from_dict(d)
-                   for d in data.get("rules", ()))

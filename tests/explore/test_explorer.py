@@ -29,6 +29,11 @@ class TestPlanSerialization:
         clone = SchedulePlan.from_dict(plan.to_dict())
         assert clone.to_dict() == plan.to_dict()
 
+    def test_to_dict_does_not_alias_ops(self):
+        rule = RandomPreempt(ops=["acquire"])
+        rule.to_dict()["ops"].append("cell-*")
+        assert rule.to_dict()["ops"] == ["acquire"]
+
     def test_dict_is_json_safe(self):
         plans = default_plan_dicts(25)
         assert plans[0] == {"rules": []}

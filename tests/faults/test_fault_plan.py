@@ -9,6 +9,7 @@ from repro.hw.context import Activity
 from repro.hw.isa import Syscall
 from repro.runtime import unistd
 from repro.sim.faults import FaultRule
+from repro.sim.schedule import SchedulePlan
 from repro.workloads import window_system
 from tests.conftest import run_program
 
@@ -78,6 +79,8 @@ class TestSyscallFault:
             SyscallFault("getpid", "EAGAIN", probability=1.5)
         with pytest.raises(SimulationError):
             TimerJitter(-1.0)
+        with pytest.raises(SimulationError):
+            TimerJitter(1.0, probability=2.0)
 
 
 class TestSerialization:
@@ -102,12 +105,29 @@ class TestSerialization:
         rebuilt = FaultPlan.from_dict(data)
         assert rebuilt.to_dict() == data
         # Every rule kind in the registry is covered by this round trip.
-        from repro.sim.faults import _RULE_KINDS
-        assert {r["kind"] for r in data["rules"]} == set(_RULE_KINDS)
+        assert {r["kind"] for r in data["rules"]} == set(FaultRule.KINDS)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SimulationError):
             FaultRule.from_dict({"kind": "cosmic-ray"})
+
+    @pytest.mark.parametrize("plan_cls, data, bad", [
+        # A typo must not silently run the default p=0.1 ...
+        (SchedulePlan, {"rules": [{"kind": "random", "probabilty": 0.9}]},
+         "schedule rule 'random': unknown field 'probabilty'"),
+        # ... nor jitter every sleep at the default p=1.0.
+        (FaultPlan, {"rules": [{"kind": "jitter", "max_usec": 1.0,
+                                "probabilty": 0.0}]},
+         "fault rule 'jitter': unknown field 'probabilty'"),
+        (FaultPlan, {"rules": [{"kind": "syscall"}]},
+         "fault rule 'syscall': missing field 'call', "
+         "missing field 'errno'"),
+        (FaultPlan, {"rule": []}, "unknown field(s) ['rule']"),
+    ], ids=["misspelled", "misspelled-default", "missing", "plan-key"])
+    def test_bad_fields_rejected(self, plan_cls, data, bad):
+        with pytest.raises(SimulationError) as err:
+            plan_cls.from_dict(data)
+        assert bad in str(err.value)
 
     def test_plan_attaches_once(self):
         plan = FaultPlan([SyscallFault("getpid", "EAGAIN")])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency checker: links, CLI usage blocks, example coverage.
 
-Five classes of rot this catches, all of which have actually happened
+Four classes of rot this catches, all of which have actually happened
 to this repo or will:
 
 1. **Dead relative links** — ``[text](docs/FILE.md)`` pointing at a
@@ -10,18 +10,16 @@ to this repo or will:
 2. **CLI drift** — a fenced shell block showing ``python -m repro.x
    --flag`` where ``--flag`` is no longer (or never was) accepted.
    Flags are validated against the live ``--help`` of each CLI.
-3. **Rule-catalogue drift** — a lint rule id (from the live
-   ``--list-rules``) missing from the ARCHITECTURE §9 catalogue, or a
-   doc mentioning an ``L###`` id the linter does not know.
-4. **Sched-class catalogue drift** — a registered scheduling class
-   (from the live ``--list-sched-classes``) missing from the
-   ARCHITECTURE catalogue table, or the table naming a class the
-   kernel does not register.
-5. **Load-CLI / arrival-catalogue drift** — docs/SCALING.md's flag
-   reference disagreeing with the live ``python -m repro.load bakeoff
-   --help``, or its arrival-process table disagreeing with
-   ``--list-arrivals`` (both checked in both directions).
-6. **Example-list drift** — a file in ``examples/`` missing from the
+3. **Catalogue drift** — a live listing and the doc table that
+   catalogues it disagreeing in either direction: an entry the program
+   has that the doc omits, or one the doc names that the program does
+   not have.  One table, :data:`CATALOGUES`, holds a row per catalogue:
+   lint rule ids (``--list-rules``) against ARCHITECTURE §9 (every doc
+   is scanned for unknown ``L###`` ids), scheduling classes
+   (``--list-sched-classes``) against the ARCHITECTURE catalogue table,
+   and docs/SCALING.md's ``bakeoff --help`` flag reference and
+   ``--list-arrivals`` arrival-process table.
+4. **Example-list drift** — a file in ``examples/`` missing from the
    README's inventory, or the README naming an example that is gone.
 
 Run:  python tools/check_docs.py   (exit 1 on any finding)
@@ -35,6 +33,7 @@ import os
 import re
 import subprocess
 import sys
+from typing import Callable, NamedTuple, Optional
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -95,11 +94,15 @@ def check_links() -> list[str]:
 
 # --------------------------------------------------------- 2. CLI drift
 
+def _run(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``argv`` from the repo root against the in-tree package."""
+    return subprocess.run(argv, capture_output=True, text=True, cwd=REPO,
+                          env={**os.environ,
+                               "PYTHONPATH": os.path.join(REPO, "src")})
+
+
 def _help_flags(argv: list[str]) -> set[str]:
-    out = subprocess.run(argv + ["--help"], capture_output=True,
-                         text=True, cwd=REPO,
-                         env={**os.environ,
-                              "PYTHONPATH": os.path.join(REPO, "src")})
+    out = _run(argv + ["--help"])
     if out.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} --help failed:\n"
                            f"{out.stderr}")
@@ -132,154 +135,98 @@ def check_cli_blocks() -> list[str]:
     return problems
 
 
-# -------------------------------------------- 3. lint rule catalogue
+# ------------------------------------------------ 3. catalogue drift
 
-def check_rule_catalogue() -> list[str]:
-    """Every lint rule id must appear in ARCHITECTURE §9, and every
-    L-rule token the docs mention must exist in the live catalogue
-    (no ghost rules, no undocumented rules)."""
-    problems = []
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.lint", "--list-rules"],
-        capture_output=True, text=True, cwd=REPO,
-        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")})
-    if out.returncode != 0:
-        return [f"repro.lint --list-rules failed:\n{out.stderr}"]
-    known = set(re.findall(r"^(L\d{3}):", out.stdout, re.MULTILINE))
-    arch_rel = "docs/ARCHITECTURE.md"
-    with open(os.path.join(REPO, arch_rel)) as fh:
-        arch = fh.read()
-    for rule in sorted(known):
-        if rule not in arch:
-            problems.append(f"{arch_rel}: rule {rule} missing from the "
-                            "§9 catalogue")
-    for rel in _doc_paths():
-        with open(os.path.join(REPO, rel)) as fh:
-            text = fh.read()
-        for rule in set(re.findall(r"\bL\d{3}\b", text)):
-            if rule not in known:
-                problems.append(f"{rel}: mentions unknown rule {rule}")
-    return problems
+def _found(pattern: str) -> Callable[[str], set]:
+    """Entries captured by ``pattern``'s group (``^`` = line start)."""
+    return lambda text: set(re.findall(pattern, text, re.MULTILINE))
 
 
-# -------------------------------------------- 4. sched class catalogue
-
-def check_class_catalogue() -> list[str]:
-    """Every registered scheduling class must appear in the
-    ARCHITECTURE §12 catalogue table, and every class the table names
-    must exist in the live registry (no ghost classes, no undocumented
-    classes) — the scheduler twin of the lint-rule check above."""
-    problems = []
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.explore", "--list-sched-classes"],
-        capture_output=True, text=True, cwd=REPO,
-        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")})
-    if out.returncode != 0:
-        return [f"repro.explore --list-sched-classes failed:\n"
-                f"{out.stderr}"]
-    known = set(re.findall(r"^([A-Z]+):", out.stdout, re.MULTILINE))
-    if not known:
-        return ["repro.explore --list-sched-classes printed no classes"]
-    arch_rel = "docs/ARCHITECTURE.md"
-    with open(os.path.join(REPO, arch_rel)) as fh:
-        arch = fh.read()
-    sect = re.search(r"^## \d+\. Kernel scheduling classes\b.*?"
-                     r"(?=^## )", arch, re.MULTILINE | re.DOTALL)
-    if sect is None:
-        return [f"{arch_rel}: scheduling-classes section not found"]
-    section = sect.group(0)
-    for cls in sorted(known):
-        if f"`{cls}`" not in section:
-            problems.append(f"{arch_rel}: class {cls} missing from the "
-                            "scheduling-class catalogue")
-    # Only the catalogue table's first column counts as a class claim;
-    # prose backticks elsewhere (errno names etc.) are out of scope.
-    for cls in set(re.findall(r"^\| `([A-Z]+)` \|", section,
-                              re.MULTILINE)):
-        if cls not in known:
-            problems.append(f"{arch_rel}: catalogue lists unknown "
-                            f"class {cls}")
-    return problems
+def _usage_flags(help_text: str) -> set:
+    # The usage block lists each accepted flag exactly once (option
+    # descriptions mention other commands' flags; skip them).
+    usage = help_text.split("\noptions:", 1)[0]
+    return set(_FLAG_RE.findall(usage)) - {"--help"}
 
 
-# ------------------------------------- 5. load CLI / arrival catalogue
-
-def _scaling_section(title: str) -> str | None:
-    """Return the named ``## <title>`` section of docs/SCALING.md."""
-    with open(os.path.join(REPO, "docs", "SCALING.md")) as fh:
-        text = fh.read()
-    m = re.search(rf"^## {re.escape(title)}\b.*?(?=^## |\Z)", text,
-                  re.MULTILINE | re.DOTALL)
-    return m.group(0) if m else None
-
-
-def check_load_cli() -> list[str]:
-    """SCALING.md's flag reference and the live ``python -m repro.load
-    bakeoff --help`` must agree both ways: no flag the CLI dropped, no
-    flag the doc forgot."""
-    problems = []
-    doc_rel = "docs/SCALING.md"
-    section = _scaling_section("Flag reference")
-    if section is None:
-        return [f"{doc_rel}: '## Flag reference' section not found"]
-    # Doc side: only the bullet lines claim flags; prose references
+def _bullet_flags(section: str) -> set:
+    # Only the bullet lines claim flags; prose references
     # (``--list-arrivals`` etc.) are out of scope.
-    documented = set()
-    for line in section.splitlines():
-        if line.startswith("* `--"):
-            documented.update(_FLAG_RE.findall(line))
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.load", "bakeoff", "--help"],
-        capture_output=True, text=True, cwd=REPO,
-        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")})
-    if out.returncode != 0:
-        return [f"repro.load bakeoff --help failed:\n{out.stderr}"]
-    # Live side: the usage block lists each accepted flag exactly once
-    # (option descriptions mention other commands' flags; skip them).
-    usage = out.stdout.split("\noptions:", 1)[0]
-    live = set(_FLAG_RE.findall(usage)) - {"--help"}
-    for flag in sorted(live - documented):
-        problems.append(f"{doc_rel}: bakeoff flag {flag} missing from "
-                        "the flag reference")
-    for flag in sorted(documented - live):
-        problems.append(f"{doc_rel}: flag reference lists {flag}, which "
-                        "bakeoff --help does not accept")
+    return {flag for line in section.splitlines()
+            if line.startswith("* `--") for flag in _FLAG_RE.findall(line)}
+
+
+class Catalogue(NamedTuple):
+    """One catalogue: a live listing and the doc section listing it."""
+    noun: str                     # what an entry is, for messages
+    argv: list                    # ``python -m`` args printing the listing
+    live: Callable[[str], set]    # entries in the listing's stdout
+    doc: str                      # the doc holding the catalogue
+    section: Optional[str]        # its ``## `` heading regex; None: all
+    documented: Callable[[str], set]   # entries the section claims
+    everywhere: bool = False      # look for unknown entries in every doc
+
+
+CATALOGUES = {
+    "rules": Catalogue(
+        "rule", ["repro.lint", "--list-rules"], _found(r"^(L\d{3}):"),
+        "docs/ARCHITECTURE.md", None, _found(r"\b(L\d{3})\b"),
+        everywhere=True),
+    "sched-classes": Catalogue(
+        "class", ["repro.explore", "--list-sched-classes"],
+        _found(r"^([A-Z]+):"), "docs/ARCHITECTURE.md",
+        r"\d+\. Kernel scheduling classes",
+        # Only the table's first column counts as a class claim; prose
+        # backticks elsewhere (errno names etc.) are out of scope.
+        _found(r"^\| `([A-Z]+)` \|")),
+    "bakeoff-flags": Catalogue(
+        "bakeoff flag", ["repro.load", "bakeoff", "--help"], _usage_flags,
+        "docs/SCALING.md", "Flag reference", _bullet_flags),
+    "arrivals": Catalogue(
+        "arrival process", ["repro.load", "--list-arrivals"],
+        _found(r"^([a-z]+):"), "docs/SCALING.md",
+        "Arrival-process catalogue", _found(r"^\| `([a-z]+)` \|")),
+}
+
+
+def compare_catalogue(name: str, listing: str, docs: dict) -> list[str]:
+    """Catalogue ``name``'s live ``listing`` against ``docs`` (doc path
+    -> text), both ways: no undocumented entry, no unknown one."""
+    row = CATALOGUES[name]
+    live = row.live(listing)
+    if not live:
+        return [f"{' '.join(row.argv)} listed no {row.noun} entries"]
+    section = docs[row.doc]
+    if row.section is not None:
+        m = re.search(rf"^## {row.section}\b.*?(?=^## |\Z)", section,
+                      re.MULTILINE | re.DOTALL)
+        if m is None:
+            return [f"{row.doc}: '## {row.section}' section not found"]
+        section = m.group(0)
+    problems = [f"{row.doc}: {row.noun} {entry} missing from the catalogue"
+                for entry in sorted(live - row.documented(section))]
+    scanned = docs if row.everywhere else {row.doc: section}
+    for rel, text in scanned.items():
+        problems += [f"{rel}: names unknown {row.noun} {entry}"
+                     for entry in sorted(row.documented(text) - live)]
     return problems
 
 
-def check_arrival_catalogue() -> list[str]:
-    """Every arrival process the generator registers must appear in the
-    SCALING.md catalogue table, and every kind the table names must
-    exist live — the load-generator twin of the catalogue checks
-    above."""
-    problems = []
-    doc_rel = "docs/SCALING.md"
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.load", "--list-arrivals"],
-        capture_output=True, text=True, cwd=REPO,
-        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")})
+def check_catalogue(name: str) -> list[str]:
+    """Run catalogue ``name``'s live listing and compare it with the
+    docs (see :func:`compare_catalogue`)."""
+    row = CATALOGUES[name]
+    out = _run([sys.executable, "-m", *row.argv])
     if out.returncode != 0:
-        return [f"repro.load --list-arrivals failed:\n{out.stderr}"]
-    known = set(re.findall(r"^([a-z]+):", out.stdout, re.MULTILINE))
-    if not known:
-        return ["repro.load --list-arrivals printed no processes"]
-    section = _scaling_section("Arrival-process catalogue")
-    if section is None:
-        return [f"{doc_rel}: '## Arrival-process catalogue' section "
-                "not found"]
-    for kind in sorted(known):
-        if f"| `{kind}` |" not in section:
-            problems.append(f"{doc_rel}: arrival process {kind} missing "
-                            "from the catalogue table")
-    for kind in set(re.findall(r"^\| `([a-z]+)` \|", section,
-                               re.MULTILINE)):
-        if kind not in known:
-            problems.append(f"{doc_rel}: catalogue lists unknown "
-                            f"arrival process {kind}")
-    return problems
+        return [f"{' '.join(row.argv)} failed:\n{out.stderr}"]
+    docs = {}
+    for rel in (_doc_paths() if row.everywhere else [row.doc]):
+        with open(os.path.join(REPO, rel)) as fh:
+            docs[rel] = fh.read()
+    return compare_catalogue(name, out.stdout, docs)
 
 
-# ------------------------------------------------- 6. example inventory
+# ------------------------------------------------- 4. example inventory
 
 def check_example_inventory() -> list[str]:
     """examples/*.py and the README inventory must agree both ways."""
@@ -301,10 +248,10 @@ def check_example_inventory() -> list[str]:
 
 
 def main() -> int:
-    problems = (check_links() + check_cli_blocks()
-                + check_rule_catalogue() + check_class_catalogue()
-                + check_load_cli() + check_arrival_catalogue()
-                + check_example_inventory())
+    problems = check_links() + check_cli_blocks()
+    for name in CATALOGUES:
+        problems += check_catalogue(name)
+    problems += check_example_inventory()
     for p in problems:
         print(f"DOCS: {p}")
     print(f"check_docs: {len(problems)} problem(s) across "
