@@ -5,8 +5,9 @@ Usage::
     # Measure this checkout; print a table and the result JSON.
     python benchmarks/perf/run.py
 
-    # Measure and overwrite the repo's reference numbers (BENCH_PERF.json
-    # "current" section).
+    # Measure, overwrite the repo's reference numbers (BENCH_PERF.json
+    # "current" section) and append the run -- the measured checkout's
+    # commit, the date and the results -- to its "history" list.
     python benchmarks/perf/run.py --update
 
     # CI smoke gate: re-measure and fail if any workload is more than
@@ -28,9 +29,11 @@ statistic on a noisy host).
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import os
 import platform
+import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -57,6 +60,18 @@ def measure(best_of: int, only=None) -> dict:
             entry["per_sec"] = round(units / best, 1)
         results[name] = entry
     return results
+
+
+def commit_of(src: str) -> str:
+    """``git describe`` of the checkout holding ``src`` (suffixed
+    ``-dirty`` when it has uncommitted changes), or "unknown"."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=src,
+            capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
 
 
 def table(results: dict) -> str:
@@ -102,7 +117,8 @@ def main(argv=None) -> int:
                         help="write the fresh numbers to this JSON file")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the reference file's 'current' "
-                             "section with the fresh numbers")
+                             "section with the fresh numbers and append "
+                             "them to its 'history' list")
     parser.add_argument("--check", action="store_true",
                         help="compare against the reference and exit "
                              "non-zero on a regression")
@@ -140,6 +156,12 @@ def main(argv=None) -> int:
                 ref = json.load(fh)
         ref["current"] = fresh
         ref.setdefault("meta", {}).update(payload["meta"])
+        ref.setdefault("history", []).append({
+            "commit": commit_of(args.src),
+            "date": datetime.datetime.now(datetime.timezone.utc)
+                            .isoformat(timespec="seconds"),
+            "results": fresh,
+        })
         if "pre_refactor" in ref:
             speedup = {}
             for name, r in fresh.items():

@@ -26,13 +26,22 @@ Host performance
 ``_step`` and the effect interpreters are the simulator's innermost loop;
 they obey the hot-path rules of ARCHITECTURE §10:
 
-* Effects dispatch through a *type-keyed table* (``_DISPATCH``), one dict
-  lookup on ``type(effect)`` instead of an isinstance chain.  Effect
-  subclasses resolve through the MRO once and are cached.
+* A step normally allocates no event-queue entry at all.
+  ``_schedule_step`` reserves the step's ``(time, seq)`` and parks it in
+  the engine's front slot; the engine runs it in place when nothing
+  queued sorts first, and otherwise (or outside ``run()``) it becomes an
+  ordinary ``Event`` with the same key (:mod:`repro.sim.engine`).
+* ``Charge`` and ``GetContext``, the most frequent effects, are handled
+  inline in ``_step`` (matched by exact type).  The rest dispatch through a
+  *type-keyed table* (``_DISPATCH``), one dict lookup on
+  ``type(effect)`` instead of an isinstance chain; their subclasses
+  resolve through the MRO once and are cached.
+* Each dispatch builds one :class:`ExecContext`, shared by every
+  GetContext, kernel entry and kernel exit until the LWP leaves the CPU.
 * Trace emission is gated on the tracer's per-category flags before any
   argument is built, so a disabled tracer costs one attribute check.
-* Per-step allocations are limited to the unavoidable event-queue entry;
-  step tags are precomputed, not formatted per step.
+* Step tags, frame labels and metric names are built once, not
+  formatted per step.
 """
 
 from __future__ import annotations
@@ -44,7 +53,10 @@ from repro.errors import (Errno, InterruptedSleep, SimulationError,
                           SyscallError)
 from repro.hw import isa
 from repro.hw.context import Activity, Mode
+from repro.obs.registry import MetricKeys
 from repro.sim.events import Event
+
+_KERNEL = Mode.KERNEL
 
 
 class ExecContext:
@@ -97,14 +109,21 @@ class CPU:
         self.tracer = engine.tracer
         self.kernel = None  # installed by the machine
         self.lwp = None  # currently running LWP
+        # The ExecContext of the current dispatch (None while idle).
+        self.ctx: Optional[ExecContext] = None
+        # The next step is either an Event in the queue (_step_event) or
+        # parked in the engine's front slot (engine.parked is self, key
+        # in parked_ns / parked_seq), never both.
         self._step_event = None
+        self.parked_ns = 0
+        self.parked_seq = 0
         self._step_tag = f"cpu-{index}.step"
-        # Hot-path caches: the step event is (re)scheduled once per
-        # effect, so the queue, clock, and the bound _step are resolved
-        # here rather than per call.
+        # Hot-path caches: a step is (re)scheduled once per effect, so
+        # the queue, clock, and the bound _step (the engine runs a parked
+        # step as ``step()``) are resolved here rather than per call.
         self._queue = engine.queue
         self._clock = engine.clock
-        self._step_fn = self._step
+        self.step = self._step
         self._charge_end_ns: Optional[int] = None
         # Virtual time the current LWP was assigned.  Feeds both the
         # metrics (per-class / per-LWP on-CPU accounting) and the
@@ -115,8 +134,7 @@ class CPU:
         # now (frame injection must defer while set).
         self._stepping_activity = None
         self._preempt_pending = False
-        # Accounting.
-        self.busy_ns = 0
+        # Accounting (busy_ns is their sum).
         self.user_ns = 0
         self.kernel_ns = 0
         self.dispatch_count = 0
@@ -129,6 +147,10 @@ class CPU:
     def idle(self) -> bool:
         return self.lwp is None
 
+    @property
+    def busy_ns(self) -> int:
+        return self.user_ns + self.kernel_ns
+
     # ------------------------------------------------------------ dispatch
 
     def assign(self, lwp) -> None:
@@ -138,6 +160,7 @@ class CPU:
                 f"{self.name} already running {self.lwp!r}")
         self.lwp = lwp
         lwp.cpu = self
+        self.ctx = ExecContext(self, lwp)
         self.dispatch_count += 1
         self._preempt_pending = False
         self._oncpu_since = self.engine.now_ns
@@ -157,15 +180,15 @@ class CPU:
                 span = self.engine.now_ns - self._oncpu_since
                 m = self.engine.metrics
                 if m is not None:
-                    m.observe(f"sched.oncpu_ns.{lwp.sched_class.value}",
-                              span)
-                    m.count(f"sched.oncpu_ns_by_lwp.{lwp.name}", span)
+                    m.observe(_ONCPU_BY_CLASS[lwp.sched_class.value], span)
+                    m.count(_ONCPU_BY_LWP[lwp.name], span)
                 if self.kernel is not None:
                     # Policy span bookkeeping (CFS vruntime, SJF burst
                     # estimate) — pure accounting, schedules nothing.
                     self.kernel.dispatcher.on_offcpu(lwp, span)
         self._oncpu_since = None
         self.lwp = None
+        self.ctx = None
         self._cancel_step()
 
     def request_preempt(self) -> None:
@@ -199,30 +222,50 @@ class CPU:
     # ------------------------------------------------------------ stepping
 
     def _schedule_step(self, delay_ns: int) -> None:
-        # Inlined EventQueue.push: this runs once per simulated effect,
-        # and the call layer itself was measurable.  delay_ns comes from
-        # the cost model (validated non-negative at Charge construction).
+        """Make the next step due ``delay_ns`` from now.
+
+        Reserves the step's ``(time, seq)`` exactly as a queue push would
+        and parks it in the engine's front slot, replacing this CPU's own
+        pending step and unparking another CPU's.  Outside ``run()`` it
+        goes straight on to the queue.  delay_ns comes from the cost model
+        (validated non-negative at Charge construction).
+        """
         ev = self._step_event
-        q = self._queue
-        if ev is not None and not ev.cancelled:
+        if ev is not None:
             ev.cancelled = True
-            if q._live > 0:
-                q._live -= 1
-        t = self._clock.now_ns + delay_ns
+            self._step_event = None
+        engine = self.engine
+        parked = engine.parked
+        if parked is not None and parked is not self:
+            parked.unpark()
+        q = self._queue
         seq = q._seq
         q._seq = seq + 1
-        q._live += 1
-        ev = Event(t, seq, self._step_fn, self._step_tag)
-        heappush(q._heap, (t, seq, ev))
+        engine.parked = self
+        self.parked_ns = self._clock.now_ns + delay_ns
+        self.parked_seq = seq
+        if not engine._running:
+            self.unpark()
+
+    def unpark(self) -> None:
+        """Move the parked step into the queue as an ordinary Event with
+        its reserved ``(time, seq)`` (called by the engine)."""
+        self.engine.parked = None
+        t = self.parked_ns
+        seq = self.parked_seq
+        ev = Event(t, seq, self.step, self._step_tag)
+        heappush(self._queue._heap, (t, seq, ev))
         self._step_event = ev
 
     def _cancel_step(self) -> None:
-        if self._step_event is not None:
-            self.engine.cancel(self._step_event)
+        ev = self._step_event
+        if ev is not None:
+            ev.cancelled = True
             self._step_event = None
+        elif self.engine.parked is self:
+            self.engine.parked = None
 
     def _account(self, ns: int, kernel: bool = False) -> None:
-        self.busy_ns += ns
         if kernel:
             self.kernel_ns += ns
         else:
@@ -240,66 +283,87 @@ class CPU:
         activity = lwp.current_activity
         if activity is None:
             raise SimulationError(f"{lwp!r} dispatched with no activity")
+        frames = activity.frames
 
         # Honor a preemption requested while we were mid-effect.
-        if self._preempt_pending and not activity.in_kernel:
+        if self._preempt_pending and frames[-1].mode is not _KERNEL:
             self._preempt_pending = False
             self.release()
             self.kernel.dispatcher.on_preempted(lwp)
             return
 
-        # Finish an interrupted charge before touching the generator.
-        if activity.pending_charge_ns > 0:
-            ns = activity.pending_charge_ns
+        ns = activity.pending_charge_ns
+        if ns > 0:
+            # Finish an interrupted charge before touching the generator.
             activity.pending_charge_ns = 0
-            self._charge(ns, activity.in_kernel)
-            return
+        else:
+            frame = frames[-1]
+            activity.started = True
+            # While the generator is live on the Python stack, nobody may
+            # push frames onto this activity (kernel signal delivery
+            # checks this flag and defers instead).
+            self._stepping_activity = activity
+            engine = self.engine
+            engine.stepping_cpu = self
+            try:
+                if activity.resume_exc is not None:
+                    exc = activity.resume_exc
+                    activity.resume_exc = None
+                    effect = frame.gen.throw(exc)
+                else:
+                    value = activity.resume_value
+                    activity.resume_value = None
+                    effect = frame.gen.send(value)
+            except StopIteration as stop:
+                self._frame_returned(lwp, activity, stop.value)
+                return
+            except (SyscallError, InterruptedSleep) as exc:
+                self._frame_raised(lwp, activity, exc)
+                return
+            finally:
+                self._stepping_activity = None
+                engine.stepping_cpu = None
 
-        frame = activity.top
-        activity.started = True
-        # While the generator is live on the Python stack, nobody may
-        # push frames onto this activity (kernel signal delivery checks
-        # this flag and defers instead).
-        self._stepping_activity = activity
-        engine = self.engine
-        engine.stepping_cpu = self
-        try:
-            if activity.resume_exc is not None:
-                exc = activity.resume_exc
-                activity.resume_exc = None
-                effect = frame.gen.throw(exc)
-            else:
-                value = activity.resume_value
-                activity.resume_value = None
-                effect = frame.gen.send(value)
-        except StopIteration as stop:
-            self._frame_returned(lwp, activity, stop.value)
-            return
-        except (SyscallError, InterruptedSleep) as exc:
-            self._frame_raised(lwp, activity, exc)
-            return
-        finally:
-            self._stepping_activity = None
-            engine.stepping_cpu = None
+            cls = effect.__class__
+            if cls is not _Charge:
+                if cls is _GetContext:
+                    activity.resume_value = self._context(lwp)
+                    activity.resume_exc = None
+                    self._schedule_step(0)
+                    return
+                handler = _DISPATCH.get(cls)
+                if handler is None:
+                    handler = _resolve_effect_handler(effect)
+                handler(self, lwp, activity, effect)
+                return
+            ns = effect.ns
 
-        self._interpret(lwp, activity, effect)
+        # Consume CPU time, then step again: _account inlined.  The full
+        # amount is booked up front; if a user-mode charge is preempted,
+        # request_preempt() refunds the unused remainder.  The LWP booked
+        # is the one on the CPU now, which the generator may have changed.
+        if frames[-1].mode is _KERNEL:
+            self.kernel_ns += ns
+            if self.lwp is not None:
+                self.lwp.account(ns, True)
+        else:
+            self.user_ns += ns
+            if self.lwp is not None:
+                self.lwp.account(ns, False)
+            if ns > 0:
+                self._charge_end_ns = self._clock.now_ns + ns
+        self._schedule_step(ns)
+
+    def _context(self, lwp) -> ExecContext:
+        """The ExecContext of ``lwp`` on this CPU: the dispatch's shared
+        one, or a fresh one when the step's LWP has left the CPU while
+        its generator ran (a kill from inside the step)."""
+        ctx = self.ctx
+        if ctx is None or ctx.lwp is not lwp:
+            ctx = ExecContext(self, lwp)
+        return ctx
 
     # ----------------------------------------------------- effect handling
-
-    def _interpret(self, lwp, activity: Activity, effect) -> None:
-        """Type-keyed effect dispatch (the table lives at class scope)."""
-        handler = _DISPATCH.get(effect.__class__)
-        if handler is None:
-            handler = _resolve_effect_handler(effect)
-        handler(self, lwp, activity, effect)
-
-    def _do_charge(self, lwp, activity: Activity,
-                   effect: "isa.Charge") -> None:
-        self._charge(effect.ns, activity.in_kernel)
-
-    def _do_get_context(self, lwp, activity: Activity, effect) -> None:
-        activity.set_resume(ExecContext(self, lwp))
-        self._schedule_step(0)
 
     def _do_setjmp(self, lwp, activity: Activity, effect) -> None:
         activity.set_resume(object())  # opaque jump-buffer token
@@ -309,17 +373,6 @@ class CPU:
         activity.set_resume(None)
         self._charge_then_step(self.costs.longjmp, activity.in_kernel)
 
-    def _charge(self, ns: int, kernel: bool) -> None:
-        """Consume CPU time, then step again.
-
-        The full amount is accounted up front; if the charge is preempted,
-        :meth:`request_preempt` refunds the unused remainder.
-        """
-        self._account(ns, kernel=kernel)
-        if ns > 0 and not kernel:
-            self._charge_end_ns = self.engine.now_ns + ns
-        self._schedule_step(ns)
-
     def _charge_then_step(self, ns: int, kernel: bool) -> None:
         self._account(ns, kernel=kernel)
         self._schedule_step(ns)
@@ -327,13 +380,14 @@ class CPU:
     def _enter_kernel(self, lwp, activity: Activity,
                       effect: "isa.Syscall") -> None:
         """Trap: charge entry cost and push the handler frame."""
+        name = effect.name
         if self.tracer.want_syscall:
             self.tracer.emit(self.engine.now_ns, "syscall", "enter",
-                             lwp.name, call=effect.name)
-        self.kernel.note_syscall(lwp, effect.name)
+                             lwp.name, call=name)
+        self.kernel.note_syscall(lwp, name)
         handler = self.kernel.syscall_handler(
-            ExecContext(self, lwp), effect.name, effect.args, effect.kwargs)
-        activity.push(handler, Mode.KERNEL, label=f"sys_{effect.name}")
+            self._context(lwp), name, effect.args, effect.kwargs)
+        activity.push(handler, Mode.KERNEL, label=_SYS_LABELS[name])
         if self.engine.metrics is not None:
             activity.top.enter_ns = self.engine.now_ns
         activity.set_resume(None)
@@ -366,7 +420,7 @@ class CPU:
             self.tracer.emit(self.engine.now_ns, "vm", "fault",
                              lwp.name, obj=effect.mobj.name, page=pageno)
         handler = self.kernel.page_fault_handler(
-            ExecContext(self, lwp), effect.mobj, pageno, effect.write)
+            self._context(lwp), effect.mobj, pageno, effect.write)
         activity.push(handler, Mode.KERNEL, label="pagefault")
         if self.engine.metrics is not None:
             activity.top.enter_ns = self.engine.now_ns
@@ -411,6 +465,7 @@ class CPU:
                 self._account(self.costs.signal_return, kernel=False)
                 self._schedule_step(self.costs.signal_return)
                 return
+            activity.set_resume(value)
             below = activity.top
             if frame.mode is Mode.KERNEL and below.mode is Mode.USER:
                 # Returning from a system call (or fault): charge the exit
@@ -421,20 +476,16 @@ class CPU:
                         call=frame.label, ret=_brief(value))
                 m = self.engine.metrics
                 if m is not None and frame.enter_ns is not None:
-                    m.observe(_latency_key(frame.label),
+                    m.observe(_LATENCY_KEYS[frame.label],
                               self.engine.now_ns - frame.enter_ns)
-                activity.set_resume(value)
-                self._account(self.costs.syscall_exit, kernel=True)
-                self.kernel.kernel_exit_check(ExecContext(self, lwp))
-                self._schedule_step(self.costs.syscall_exit)
+                self._exit_kernel(lwp)
             else:
-                activity.set_resume(value)
                 self._schedule_step(0)
             return
 
         # Bottom frame returned: the activity's body is done.
         if activity.on_return is not None:
-            follow_on = activity.on_return(ExecContext(self, lwp), value)
+            follow_on = activity.on_return(self._context(lwp), value)
             if follow_on is not None:
                 activity.push(follow_on, Mode.USER, label="on_return")
                 activity.set_resume(None)
@@ -458,6 +509,7 @@ class CPU:
                 # Injected frame died; still re-apply what it displaced?
                 # No: the handler's failure takes precedence.
                 pass
+            activity.set_resume_exc(exc)
             below = activity.top
             if frame.mode is Mode.KERNEL and below.mode is Mode.USER:
                 if self.tracer.want_syscall:
@@ -467,18 +519,14 @@ class CPU:
                 m = self.engine.metrics
                 if m is not None:
                     if frame.enter_ns is not None:
-                        m.observe(_latency_key(frame.label),
+                        m.observe(_LATENCY_KEYS[frame.label],
                                   self.engine.now_ns - frame.enter_ns)
                     if isinstance(exc, SyscallError):
                         call = frame.label[4:] if frame.label.startswith(
                             "sys_") else frame.label
                         m.count(f"syscall.errno.{call}.{exc.errno.name}")
-                activity.set_resume_exc(exc)
-                self._account(self.costs.syscall_exit, kernel=True)
-                self.kernel.kernel_exit_check(ExecContext(self, lwp))
-                self._schedule_step(self.costs.syscall_exit)
+                self._exit_kernel(lwp)
             else:
-                activity.set_resume_exc(exc)
                 self._schedule_step(0)
             return
         # Uncaught at the bottom of an activity: the simulated program
@@ -487,6 +535,13 @@ class CPU:
         self.release()
         self.kernel.on_activity_crashed(lwp, activity, exc)
         self.kernel.dispatcher.cpu_idle(self)
+
+    def _exit_kernel(self, lwp) -> None:
+        """Kernel-to-user return: charge the exit path, let the kernel
+        deliver a pending signal, then step again."""
+        self._account(self.costs.syscall_exit, kernel=True)
+        self.kernel.kernel_exit_check(self._context(lwp))
+        self._schedule_step(self.costs.syscall_exit)
 
     # ------------------------------------------------------------ kernel API
 
@@ -517,13 +572,15 @@ class CPU:
         return f"<CPU {self.index}: {running}>"
 
 
-#: The type-keyed effect dispatch table: effect class -> unbound CPU
+_Charge = isa.Charge
+_GetContext = isa.GetContext
+
+#: The type-keyed effect dispatch table for every effect but Charge and
+#: GetContext (which _step handles inline): effect class -> unbound CPU
 #: method.  Shared by all CPUs; exact-type hits are one dict lookup.
 _DISPATCH = {
-    isa.Charge: CPU._do_charge,
     isa.Syscall: CPU._enter_kernel,
     isa.SwitchTo: CPU._switch_thread,
-    isa.GetContext: CPU._do_get_context,
     isa.Setjmp: CPU._do_setjmp,
     isa.Longjmp: CPU._do_longjmp,
     isa.Touch: CPU._touch,
@@ -555,3 +612,10 @@ def _latency_key(frame_label: str) -> str:
     if frame_label == "pagefault":
         return "vm.pagefault_latency_ns"
     return f"kernel.latency_ns.{frame_label}"
+
+
+#: Per-name strings of the step path, each built once.
+_SYS_LABELS = MetricKeys("sys_{}".format)
+_LATENCY_KEYS = MetricKeys(_latency_key)
+_ONCPU_BY_CLASS = MetricKeys("sched.oncpu_ns.{}".format)
+_ONCPU_BY_LWP = MetricKeys("sched.oncpu_ns_by_lwp.{}".format)

@@ -29,6 +29,7 @@ from repro.kernel.process import ProcState, Process
 from repro.kernel.sched.dispatcher import Dispatcher
 from repro.kernel.signals import Disposition, Sig
 from repro.kernel.vm import AddressSpace
+from repro.obs.registry import MetricKeys
 
 
 class Kernel:
@@ -225,7 +226,7 @@ class Kernel:
         self.syscall_counts[name] += 1
         m = self.engine.metrics
         if m is not None:
-            m.count(f"syscall.count.{name}")
+            m.count(_SYSCALL_COUNT_KEYS[name])
 
     # ------------------------------------------------------ block / wakeup
 
@@ -496,8 +497,7 @@ class Kernel:
             # only at its next kernel exit.  This is what lets SIGVTALRM
             # preempt a compute-bound thread (library time slicing).
             lwp.pending.discard(sig)
-            from repro.hw.cpu import ExecContext
-            self._deliver_to_lwp(ExecContext(lwp.cpu, lwp), lwp, sig)
+            self._deliver_to_lwp(lwp.cpu.ctx, lwp, sig)
             return
         # Otherwise: delivered at the LWP's next kernel exit.
 
@@ -850,6 +850,10 @@ class Kernel:
     def active_processes(self) -> list[Process]:
         return [p for p in self.processes.values()
                 if p.state is ProcState.ACTIVE]
+
+
+#: ``syscall.count.<name>``, built once per call name.
+_SYSCALL_COUNT_KEYS = MetricKeys("syscall.count.{}".format)
 
 
 def _charge(ns: int):

@@ -15,6 +15,12 @@ from typing import Optional
 
 from repro.kernel.lwp import Lwp, LwpState
 from repro.kernel.sched.policy import SchedClassTable
+from repro.obs.registry import MetricKeys
+
+#: Per-policy / per-class metric names, each built once.
+_RUNQ_DEPTH = MetricKeys("sched.runq_depth.{}".format)
+_DISPATCHES = MetricKeys("sched.dispatches.{}".format)
+_DISPATCH_LATENCY = MetricKeys("sched.dispatch_latency_ns.{}".format)
 
 
 class Dispatcher:
@@ -46,7 +52,7 @@ class Dispatcher:
         if m is not None:
             lwp.ready_since_ns = self.engine.now_ns
             m.observe("sched.runq_depth", len(self.table))
-            m.observe(f"sched.runq_depth.{pol.name}", len(pol))
+            m.observe(_RUNQ_DEPTH[pol.name], len(pol))
         self._place(lwp)
 
     def cpu_idle(self, cpu) -> None:
@@ -141,14 +147,13 @@ class Dispatcher:
         lwp.state = LwpState.RUNNING
         m = self.engine.metrics
         if m is not None:
-            m.count(f"sched.dispatches.{lwp.sched_class.value}")
+            cls = lwp.sched_class.value
+            m.count(_DISPATCHES[cls])
             ready = lwp.ready_since_ns
             if ready is not None:
                 latency = self.engine.now_ns - ready
                 m.observe("sched.dispatch_latency_ns", latency)
-                m.observe(
-                    f"sched.dispatch_latency_ns.{lwp.sched_class.value}",
-                    latency)
+                m.observe(_DISPATCH_LATENCY[cls], latency)
                 lwp.ready_since_ns = None
         cpu.assign(lwp)
         self._arm_quantum(cpu, lwp)

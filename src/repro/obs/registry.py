@@ -124,6 +124,31 @@ class Histogram:
         }
 
 
+class MetricKeys(dict):
+    """Metric names of one family, each built once per label.
+
+    ``keys[label]`` is ``build(label)``, computed the first time the label
+    is seen and a plain dict hit after that, so an instrumentation site
+    that runs on every event indexes a module-level instance instead of
+    formatting an f-string per call::
+
+        _ONCPU = MetricKeys("sched.oncpu_ns.{}".format)
+        m.observe(_ONCPU[cls], span)
+
+    The names are exactly what the f-string would give.
+    """
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, label) -> str:
+        key = self[label] = self.build(label)
+        return key
+
+
 class MetricsRegistry:
     """Named counters/gauges/histograms behind dotted hierarchical keys.
 

@@ -7,10 +7,30 @@ simulation by firing events in (time, sequence) order.  Everything above it
 The engine knows nothing about CPUs or processes; it only runs callbacks.
 Deadlock detection is delegated to an optional ``idle_check`` hook installed
 by the machine, which can inspect kernel state when the event queue drains.
+
+The front slot
+--------------
+
+Most events are a CPU's next step, and most of those sort before
+everything else in the queue.  So a *stepper* (a CPU) may park its next
+step in a one-entry front slot instead of pushing an :class:`Event`.  It
+reserves the step's ``(time_ns, seq)`` from the queue exactly as a push
+would, and sets ``engine.parked`` to itself, with ``parked_ns`` and
+``parked_seq`` holding that key and ``step()`` running the step.  After
+every event, :meth:`Engine.run` runs the parked step in place (no
+``Event``, no heap push or pop) when its key sorts before every live
+queued event and lies within ``until_ns``, and counts it toward
+``max_events`` like any event.  Otherwise it calls the stepper's
+``unpark()``, which pushes the step as an ordinary ``Event`` with its
+reserved key, so the fire order is the one the heap alone would give.
+A stepper parking while another's step is parked unparks that one
+first, and ``run()`` unparks on its way out (return or raise), so
+outside ``run()`` every pending step is an ordinary queued event.
 """
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Callable, Optional
 
 from repro.errors import DeadlockError, SimulationError
@@ -67,6 +87,9 @@ class Engine:
         # attribute an in-flight access to its executor without scanning
         # every CPU.
         self.stepping_cpu = None
+        # The stepper whose next step sits in the front slot (see the
+        # module docstring); set only while run() is executing.
+        self.parked = None
 
     # ----------------------------------------------------------------- time
 
@@ -99,10 +122,9 @@ class Engine:
         return self.queue.push(self.clock.now_ns + delay_ns, fn, tag)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event.  Safe to call more than once."""
-        if not event.cancelled:
-            event.cancel()
-            self.queue.note_cancel()
+        """Cancel a scheduled event.  Safe to call more than once, and a
+        no-op for an event that has already fired."""
+        event.cancelled = True
 
     # ----------------------------------------------------------------- run
 
@@ -128,9 +150,35 @@ class Engine:
         # Hot loop: hoist bound methods so each iteration is local loads
         # only (the loop body runs once per simulated effect).
         pop_next = self.queue.pop_next
-        advance_to = self.clock.advance_to
+        heap = self.queue._heap
+        clock = self.clock
+        advance_to = clock.advance_to
         try:
             while True:
+                stepper = self.parked
+                if stepper is not None:
+                    t = stepper.parked_ns
+                    first = True
+                    while heap:
+                        top = heap[0]
+                        if t < top[0] or (
+                                t == top[0] and stepper.parked_seq < top[1]):
+                            break
+                        if not top[2].cancelled:
+                            first = False
+                            break
+                        heappop(heap)  # a cancelled entry: drop it
+                    if first and (until_ns is None or t <= until_ns):
+                        # Run the step in place.  It was parked during
+                        # the event just fired, so t >= now.
+                        self.parked = None
+                        clock.now_ns = t
+                        stepper.step()
+                        fired += 1
+                        if max_events is not None and fired >= max_events:
+                            self._exhausted(max_events)
+                        continue
+                    stepper.unpark()
                 next_time, ev = pop_next(until_ns)
                 if ev is None:
                     if next_time is not None:
@@ -149,15 +197,18 @@ class Engine:
                 ev.fn()
                 fired += 1
                 if max_events is not None and fired >= max_events:
-                    self._events_fired += fired
-                    fired = 0
-                    raise SimulationError(
-                        f"max_events={max_events} exhausted at "
-                        f"t={self.now_usec:.1f}us; runaway simulation?")
+                    self._exhausted(max_events)
         finally:
             self._running = False
+            if self.parked is not None:
+                self.parked.unpark()
             self._events_fired += fired
         return fired
+
+    def _exhausted(self, max_events: int) -> None:
+        raise SimulationError(
+            f"max_events={max_events} exhausted at "
+            f"t={self.now_usec:.1f}us; runaway simulation?")
 
     def diagnose_hang(self) -> str:
         """Render the wait-for graph of everything currently blocked.

@@ -7,12 +7,16 @@ deterministic.
 
 Cancellation is lazy: cancelled events stay in the heap and are skipped when
 popped.  This is the standard technique (used by e.g. ``sched`` and most
-network simulators) and keeps cancellation O(1).
+network simulators) and keeps cancellation O(1).  Nothing is counted at
+push, pop or cancel time: ``len()`` counts the live entries when asked,
+so it stays exact however an event is cancelled, before or after it
+fired.
 
 Host performance: the heap stores ``(time_ns, seq, event)`` tuples rather
 than bare events, so every sift comparison ``heapq`` makes is a C-level
-tuple comparison instead of a Python ``__lt__`` call — push/pop are the
-two most-executed operations in the simulator (one of each per effect).
+tuple comparison instead of a Python ``__lt__`` call.  A CPU step that
+sorts first never enters the heap at all (the engine's front slot, see
+:mod:`repro.sim.engine`); it only reserves a sequence number here.
 """
 
 from __future__ import annotations
@@ -59,12 +63,11 @@ class Event:
 class EventQueue:
     """Min-heap of ``(time_ns, seq, event)`` entries."""
 
-    __slots__ = ("_heap", "_seq", "_live")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
-        self._live = 0
 
     def push(self, time_ns: int, fn: Callable[[], None],
              tag: str = "") -> Event:
@@ -72,7 +75,6 @@ class EventQueue:
         seq = self._seq
         ev = Event(time_ns, seq, fn, tag)
         self._seq = seq + 1
-        self._live += 1
         heapq.heappush(self._heap, (time_ns, seq, ev))
         return ev
 
@@ -84,10 +86,8 @@ class EventQueue:
         heap = self._heap
         while heap:
             ev = heapq.heappop(heap)[2]
-            if ev.cancelled:
-                continue
-            self._live -= 1
-            return ev
+            if not ev.cancelled:
+                return ev
         return None
 
     def peek_time(self) -> Optional[int]:
@@ -118,21 +118,12 @@ class EventQueue:
             if until_ns is not None and t > until_ns:
                 return t, None
             heapq.heappop(heap)
-            self._live -= 1
             return t, entry[2]
         return None, None
 
-    def note_cancel(self) -> None:
-        """Bookkeeping hook: callers that cancel events may report it here.
-
-        Only affects :meth:`__len__`'s live-count accuracy; correctness of
-        pop/peek never depends on it.
-        """
-        if self._live > 0:
-            self._live -= 1
-
     def __len__(self) -> int:
-        return self._live
+        """Number of live (uncancelled) queued events; O(n)."""
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None

@@ -104,8 +104,7 @@ class CondVar(SyncVariable):
         if m is not None:
             # Wall-to-wall wait including the mutex re-acquire — the
             # latency the paper's monitor pattern actually experiences.
-            m.observe(f"sync.cv.wait_ns.{self.metric_label}",
-                      ctx.engine.now_ns - t0)
+            m.observe(self._metric_key("wait_ns"), ctx.engine.now_ns - t0)
         return acquired
 
 

@@ -104,12 +104,11 @@ def _fresh_ctx(ctx):
     the stale LWP's current thread and misattribute the event.  The CPU
     that is mid-step right now is the real emitter.
     """
-    from repro.hw.cpu import ExecContext
     cpu = ctx.engine.stepping_cpu
     if cpu is not None and cpu.lwp is not None:
         if cpu is ctx.cpu and cpu.lwp is ctx.lwp:
             return ctx
-        return ExecContext(cpu, cpu.lwp)
+        return cpu.ctx
     return ctx
 
 

@@ -87,6 +87,11 @@ def sync_variables_in_creation_order() -> list:
     return sorted(_ALL_SYNC_VARIABLES, key=lambda sv: sv._seq)
 
 
+#: Acquire operation -> (uncontended, contended) counter stems.
+_ACQUIRE_STEMS = {op: (f"{op}_uncontended", f"{op}_contended")
+                  for op in ("acquires", "p", "read", "write")}
+
+
 class SyncVariable:
     """Common base: variant decoding and shared-cell plumbing."""
 
@@ -98,6 +103,10 @@ class SyncVariable:
         self.name = name or f"{self.KIND}@{id(self):x}"
         self.cell = cell
         self._seq = next(_SEQ)
+        # Per-variable metric names (see _metric_key) and the start of
+        # the current hold, both used only while metrics are attached.
+        self._metric_keys: dict[str, str] = {}
+        self._held_since: Optional[int] = None
         if cell is not None:
             # Mark the protocol word so dynamic detectors (repro.explore)
             # skip it: futex-style state words are accessed racily by
@@ -140,36 +149,44 @@ class SyncVariable:
     # callers pass the ExecContext they already hold, so the cost when
     # disabled is one call + one attribute load + an is-None test.
 
+    def _metric_key(self, stem: str) -> str:
+        """``sync.<KIND>.<stem>.<metric_label>``, built once per stem."""
+        key = self._metric_keys.get(stem)
+        if key is None:
+            key = self._metric_keys[stem] = (
+                f"sync.{self.KIND}.{stem}.{self.metric_label}")
+        return key
+
     def _m_acquired(self, ctx, contended: bool, t0: int,
                     op: str = "acquires") -> None:
         """Count an acquisition; record wait time when it contended."""
         m = ctx.engine.metrics
         if m is None:
             return
-        label = self.metric_label
-        kind = "contended" if contended else "uncontended"
-        m.count(f"sync.{self.KIND}.{op}_{kind}.{label}")
+        now = ctx.engine.now_ns
+        uncontended, contended_stem = _ACQUIRE_STEMS[op]
         if contended:
-            m.observe(f"sync.{self.KIND}.wait_ns.{label}",
-                      ctx.engine.now_ns - t0)
-        self._held_since = ctx.engine.now_ns
+            m.count(self._metric_key(contended_stem))
+            m.observe(self._metric_key("wait_ns"), now - t0)
+        else:
+            m.count(self._metric_key(uncontended))
+        self._held_since = now
 
     def _m_released(self, ctx) -> None:
         """Record hold time since the matching :meth:`_m_acquired`."""
         m = ctx.engine.metrics
         if m is None:
             return
-        held = getattr(self, "_held_since", None)
+        held = self._held_since
         if held is not None:
-            m.observe(f"sync.{self.KIND}.hold_ns.{self.metric_label}",
-                      ctx.engine.now_ns - held)
+            m.observe(self._metric_key("hold_ns"), ctx.engine.now_ns - held)
             self._held_since = None
 
     def _m_count(self, ctx, op: str) -> None:
         """Count a bare operation (v, signal, broadcast, ...)."""
         m = ctx.engine.metrics
         if m is not None:
-            m.count(f"sync.{self.KIND}.{op}.{self.metric_label}")
+            m.count(self._metric_key(op))
 
     @property
     def is_spin(self) -> bool:

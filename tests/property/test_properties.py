@@ -92,6 +92,51 @@ class TestEventQueueOrdering:
             assert (id(ev) in popped) == (not cancelled)
 
 
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 50)),
+        st.tuples(st.just("cancel"), st.integers(0, 1_000)),
+        st.tuples(st.just("pop"), st.none()),
+        st.tuples(st.just("pop_next"), st.integers(0, 50))),
+        max_size=150))
+    def test_interleaved_ops_pop_in_time_seq_order(self, ops):
+        """Any interleaving of pushes, cancels (of queued or already
+        popped events) and pops: every pop yields the least live
+        ``(time, seq)``, and len()/bool() count exactly the live ones."""
+        q = EventQueue()
+        pushed = []
+        live = set()
+        for op, arg in ops:
+            if op == "push":
+                ev = q.push(arg, lambda: None)
+                pushed.append(ev)
+                live.add((ev.time_ns, ev.seq))
+            elif op == "cancel":
+                if pushed:
+                    ev = pushed[arg % len(pushed)]
+                    ev.cancel()
+                    live.discard((ev.time_ns, ev.seq))
+            elif op == "pop":
+                ev = q.pop()
+                if live:
+                    first = min(live)
+                    assert (ev.time_ns, ev.seq) == first
+                    live.remove(first)
+                else:
+                    assert ev is None
+            else:
+                t, ev = q.pop_next(until_ns=arg)
+                if not live:
+                    assert (t, ev) == (None, None)
+                elif min(live)[0] > arg:
+                    assert (t, ev) == (min(live)[0], None)
+                else:
+                    first = min(live)
+                    assert (t, ev.time_ns, ev.seq) == (first[0], *first)
+                    live.remove(first)
+            assert len(q) == len(live)
+            assert bool(q) == bool(live)
+
+
 class TestRunQueueDiscipline:
     @given(st.lists(st.integers(min_value=0, max_value=59),
                     min_size=1, max_size=60))

@@ -118,6 +118,22 @@ class TestCancellation:
         assert eng.run() == 1
         assert seen == []
 
+    def test_cancelling_a_fired_event_keeps_the_live_count(self):
+        # A timer that cancels itself from its own callback (the load
+        # driver's deadline does) must not be counted out of the queue
+        # a second time: it left the live count when it was popped.
+        eng = Engine()
+        box = []
+        box.append(eng.call_at(10, lambda: eng.cancel(box[0])))
+        eng.call_at(20, lambda: None)
+        eng.call_at(30, lambda: None)
+        eng.run(until_ns=15)
+        assert len(eng.queue) == 2
+        assert eng.queue
+        assert eng.run() == 2
+        assert len(eng.queue) == 0
+        assert not eng.queue
+
     def test_cancel_all_pending_drains_clean(self):
         # A queue holding only cancelled events must fire nothing and
         # must not advance the clock: it drains exactly like an empty
