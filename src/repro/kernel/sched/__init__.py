@@ -1,11 +1,11 @@
 """Kernel scheduling: dispatcher, run queues, pluggable class policies."""
 
-from repro.kernel.sched.classes import GangGroup
 from repro.kernel.sched.dispatcher import Dispatcher
-from repro.kernel.sched.policy import (CfsPolicy, GangPolicy, HrrPolicy,
-                                       MlfqPolicy, RealtimePolicy,
-                                       SchedClassTable, SchedPolicy,
-                                       SjfPolicy, TimesharePolicy)
+from repro.kernel.sched.policy import (CfsPolicy, GangGroup, GangPolicy,
+                                       HrrPolicy, MlfqPolicy,
+                                       RealtimePolicy, SchedClassTable,
+                                       SchedPolicy, SjfPolicy,
+                                       TimesharePolicy)
 from repro.kernel.sched.runqueue import RunQueue
 
 __all__ = [

@@ -14,15 +14,21 @@ queue contents and the per-LWP ``sched_state`` blobs — no host RNG, no
 host time.  Ties always break by LWP id (then name), so two runs with
 the same seed and plan produce the same dispatch order.
 
-The classic classes (TIMESHARE/REALTIME/GANG) are re-hosted here
-*byte-identically*: their queues are the same multilevel priority FIFO
-(:class:`~repro.kernel.sched.runqueue.RunQueue`) and their hooks
-delegate to the original functional forms in
-:mod:`repro.kernel.sched.classes`, so the golden trace digests pinned
-by ``tests/explore`` do not move.  Because the classic bands are
-disjoint (TS 0-59, GANG 100-159, RT 200-259), per-class queues scanned
-by best queued priority reproduce the old single global queue's pick
-order exactly.
+The paper's classes (TIMESHARE/REALTIME/GANG) share one queue
+discipline, a multilevel priority FIFO
+(:class:`~repro.kernel.sched.runqueue.RunQueue`):
+
+* **TS**   — round-robin with a quantum scaled up for low priorities;
+  priorities decay one step per expired quantum and recover on sleep,
+  the classic UNIX feedback rule.
+* **RT**   — fixed priority, no quantum: runs until it blocks or a
+  higher-priority LWP appears.  Sits above every timeshare priority.
+* **GANG** — timeshare-like, but members of one :class:`GangGroup` are
+  co-dispatched onto idle CPUs whenever one member is dispatched.
+
+Because their bands are disjoint (TS 0-59, GANG 100-159, RT 200-259),
+per-class queues scanned by best queued priority reproduce a single
+global queue's pick order exactly.
 
 The pluggable classes live in the timeshare band (CLASS_BASE 0), so
 they arbitrate against RT and GANG the way TS does:
@@ -47,9 +53,39 @@ from collections import deque
 from typing import Callable, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.kernel.lwp import CLASS_BASE, Lwp, SchedClass
-from repro.kernel.sched import classes as _classic
+from repro.kernel.lwp import CLASS_BASE, PRIO_MAX, PRIO_MIN, Lwp, SchedClass
 from repro.kernel.sched.runqueue import RunQueue
+
+
+class GangGroup:
+    """A set of LWPs that want to run simultaneously.
+
+    Gang ids are per-kernel (handed out by ``Kernel.next_gang_id``), not
+    a class-level counter: a process-global counter leaks ids across
+    engine instances and breaks run-to-run determinism when one worker
+    process runs several simulations (``explore --jobs``).
+    """
+
+    def __init__(self, gang_id: int = 0):
+        self.gang_id = gang_id
+        self.members: list[Lwp] = []
+
+    def add(self, lwp: Lwp) -> None:
+        if lwp not in self.members:
+            self.members.append(lwp)
+            lwp.gang = self
+            lwp.sched_class = SchedClass.GANG
+            lwp.sched_state = None
+
+    def remove(self, lwp: Lwp) -> None:
+        if lwp in self.members:
+            self.members.remove(lwp)
+            lwp.gang = None
+            # A departed member must not stay in the GANG class with no
+            # gang: drop it back to timesharing (fresh state blob).
+            if lwp.sched_class is SchedClass.GANG:
+                lwp.sched_class = SchedClass.TIMESHARE
+                lwp.sched_state = None
 
 
 class SchedPolicy:
@@ -174,21 +210,26 @@ class PriorityFifoPolicy(SchedPolicy):
 
 
 class TimesharePolicy(PriorityFifoPolicy):
-    """The paper's TS class, re-hosted (hooks delegate to the original
-    functional forms in :mod:`repro.kernel.sched.classes`)."""
+    """The paper's TS class: round-robin plus priority feedback."""
 
     sched_class = SchedClass.TIMESHARE
     DOC = ("round-robin with priority-scaled quantum; decays one step "
            "per expired quantum, recovers on sleep")
 
     def quantum_ns(self, lwp, base_quantum_ns):
-        return _classic.quantum_ns(lwp, base_quantum_ns)
+        # Lower priorities get longer quanta (classic SVR4 TS table
+        # shape: cheap compensation for running less often).
+        return base_quantum_ns * (1 + (PRIO_MAX - lwp.priority) // 20)
 
     def on_quantum_expired(self, lwp) -> None:
-        _classic.on_quantum_expired(lwp)
+        """Feedback: a CPU hog drifts to lower priority."""
+        if lwp.priority > PRIO_MIN:
+            lwp.priority -= 1
 
     def on_wakeup(self, lwp) -> None:
-        _classic.on_sleep_return(lwp)
+        """Feedback: interactive behaviour recovers priority."""
+        if lwp.priority < PRIO_MAX:
+            lwp.priority += 1
 
 
 class RealtimePolicy(PriorityFifoPolicy):
@@ -199,7 +240,7 @@ class RealtimePolicy(PriorityFifoPolicy):
     DOC = "fixed priority above all timesharing; no quantum"
 
     def quantum_ns(self, lwp, base_quantum_ns):
-        return _classic.quantum_ns(lwp, base_quantum_ns)
+        return None
 
 
 class GangPolicy(PriorityFifoPolicy):
@@ -208,9 +249,6 @@ class GangPolicy(PriorityFifoPolicy):
 
     sched_class = SchedClass.GANG
     DOC = "gang co-dispatch band; fixed quantum, no feedback"
-
-    def quantum_ns(self, lwp, base_quantum_ns):
-        return _classic.quantum_ns(lwp, base_quantum_ns)
 
 
 class _OrderedListPolicy(SchedPolicy):

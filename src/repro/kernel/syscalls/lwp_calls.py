@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.errors import Errno, SyscallError
 from repro.hw.isa import Block, Charge, WaitChannel
 from repro.kernel.lwp import LwpState, SchedClass, PRIO_MAX, PRIO_MIN
-from repro.kernel.sched.classes import GangGroup
+from repro.kernel.sched.policy import GangGroup
 from repro.kernel.syscalls import syscall
 
 

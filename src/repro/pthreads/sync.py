@@ -85,6 +85,14 @@ class PthreadMutex:
     def lock(self):
         """pthread_mutex_lock: 0, EDEADLK (errorcheck), EOWNERDEAD
         (robust, previous holder crashed), or ENOTRECOVERABLE."""
+        return self._lock(None)
+
+    def timedlock(self, timeout_usec: float):
+        """pthread_mutex_timedlock: :meth:`lock`, or ETIMEDOUT when
+        ``timeout_usec`` passes first."""
+        return self._lock(timeout_usec)
+
+    def _lock(self, timeout_usec):
         if (self.attr.kind == PTHREAD_MUTEX_ERRORCHECK
                 and not self._impl.is_shared):
             # POSIX errorcheck semantics: a relock by the owner returns
@@ -95,14 +103,17 @@ class PthreadMutex:
             if self._impl.owner is not None and self._impl.owner is ctx.thread:
                 return Errno.EDEADLK
         try:
-            result = yield from self._impl.enter()
+            if timeout_usec is None:
+                result = yield from self._impl.enter()
+            else:
+                result = yield from self._impl.timedenter(timeout_usec)
         except SyscallError as err:
             if err.errno == Errno.ENOTRECOVERABLE:
                 return Errno.ENOTRECOVERABLE
             raise
         if result is Errno.EOWNERDEAD:
             return self._owner_dead_result()
-        return 0 if result is None else result
+        return Errno.ETIMEDOUT if result is False else 0
 
     def trylock(self):
         """pthread_mutex_trylock: truthy on acquire (True, or
@@ -120,25 +131,6 @@ class PthreadMutex:
             mapped = self._owner_dead_result()
             return True if mapped == 0 else mapped
         return result
-
-    def timedlock(self, timeout_usec: float):
-        """pthread_mutex_timedlock: 0 on acquire, ETIMEDOUT on timeout,
-        EOWNERDEAD/ENOTRECOVERABLE per the robust protocol."""
-        if (self.attr.kind == PTHREAD_MUTEX_ERRORCHECK
-                and not self._impl.is_shared):
-            ctx = yield GetContext()
-            if (self._impl.owner is not None
-                    and self._impl.owner is ctx.thread):
-                return Errno.EDEADLK
-        try:
-            acquired = yield from self._impl.timedenter(timeout_usec)
-        except SyscallError as err:
-            if err.errno == Errno.ENOTRECOVERABLE:
-                return Errno.ENOTRECOVERABLE
-            raise
-        if acquired is Errno.EOWNERDEAD:
-            return self._owner_dead_result()
-        return 0 if acquired else Errno.ETIMEDOUT
 
     def unlock(self):
         yield from self._impl.exit()
@@ -181,7 +173,13 @@ class PthreadCond:
         self.attr = attr
 
     def wait(self, mutex: PthreadMutex):
-        yield from self._impl.wait(mutex.impl)
+        """pthread_cond_wait: 0, or EOWNERDEAD when the re-acquired
+        robust mutex came back from a crashed holder (a stalled one is
+        repaired silently, as :meth:`PthreadMutex.lock` does)."""
+        result = yield from self._impl.wait(mutex.impl)
+        if result is Errno.EOWNERDEAD:
+            return mutex._owner_dead_result()
+        return 0
 
     def signal(self):
         yield from self._impl.signal()
@@ -220,7 +218,8 @@ def pthread_mutex_consistent(mutex: PthreadMutex) -> int:
 
 
 def pthread_cond_wait(cond: PthreadCond, mutex: PthreadMutex):
-    yield from cond.wait(mutex)
+    result = yield from cond.wait(mutex)
+    return result
 
 
 def pthread_cond_signal(cond: PthreadCond):

@@ -30,8 +30,6 @@ Where records go is a pluggable *sink* — any object with an
 
 * :class:`ListSink` — append to a list (the default; backs
   ``tracer.records`` so existing tests and analysis tooling keep working).
-* :class:`RingBufferSink` — keep only the last N records (flight recorder
-  for long soaks).
 * :class:`JsonlSink` — stream records to a file as JSON lines.
 * :class:`DigestSink` — fold records into a SHA-256 *without storing
   them*; bit-for-bit compatible with :func:`trace_digest` over a record
@@ -47,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from typing import Callable, Iterable, Iterator, Optional
 
 #: Categories with a precomputed ``want_<category>`` gate attribute on
@@ -122,29 +119,6 @@ class ListSink:
         self.records.clear()
 
 
-class RingBufferSink:
-    """Keep only the most recent ``capacity`` records (flight recorder)."""
-
-    __slots__ = ("buffer", "dropped")
-
-    def __init__(self, capacity: int = 4096):
-        self.buffer: deque[TraceRecord] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def on_record(self, rec: TraceRecord) -> None:
-        if len(self.buffer) == self.buffer.maxlen:
-            self.dropped += 1
-        self.buffer.append(rec)
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        return list(self.buffer)
-
-    def clear(self) -> None:
-        self.buffer.clear()
-        self.dropped = 0
-
-
 class JsonlSink:
     """Stream records to a file object as JSON lines."""
 
@@ -202,15 +176,6 @@ class DigestSink:
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
-
-
-class NullSink:
-    """Discard everything (benchmark the record-build cost alone)."""
-
-    __slots__ = ()
-
-    def on_record(self, rec: TraceRecord) -> None:
-        pass
 
 
 class _CallableSink:

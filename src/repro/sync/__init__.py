@@ -62,7 +62,9 @@ def cv_init(vtype: int = 0, cell: SharedCell = None,
 
 
 def cv_wait(cvp: CondVar, mutexp: Mutex):
-    yield from cvp.wait(mutexp)
+    """Wait; returns None, or EOWNERDEAD from the mutex re-acquire."""
+    result = yield from cvp.wait(mutexp)
+    return result
 
 
 def cv_timedwait(cvp: CondVar, mutexp: Mutex, timeout_usec: float):

@@ -20,17 +20,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import Errno, SyncError, SyscallError
+from repro.errors import SyncError
 from repro.hw.isa import GET_CONTEXT, Syscall, Touch, charge
+from repro.sim.clock import usec
 from repro.sync import events
 from repro.sync.guards import guarded
 from repro.sync.mutex import Mutex
-from repro.sync.variants import (SharedCell, SyncVariable,
-                                 usync_block_retry)
-
-
-#: Wake value marking a timeout-driven resume of a timedwait.
-_TIMEDOUT = "cv-timedout"
+from repro.sync.variants import (SharedCell, SyncVariable, deadline_after,
+                                 timed_result, usync_block_retry)
+from repro.threads.scheduler import TIMED_OUT
 
 
 class CondVar(SyncVariable):
@@ -73,12 +71,31 @@ class CondVar(SyncVariable):
         mutex came back from a crashed holder (robust-mutex protocol),
         else None — so monitor loops can repair before retesting.
         """
+        return self._wait(mutex, None)
+
+    @guarded
+    def timedwait(self, mutex: Mutex, timeout_usec: float):
+        """Generator: wait, but give up after ``timeout_usec``.
+
+        Returns True when (possibly spuriously) signaled, False on
+        timeout, and ``Errno.EOWNERDEAD`` as :meth:`wait` does.  Either
+        way the mutex is re-held on return, and the caller re-tests its
+        condition as usual.  A Solaris-era extension; the timeout is
+        driven by the kernel's timer facility (standing in for the
+        per-LWP interval timers a real library would arm).
+        """
+        return timed_result(self._wait(mutex, timeout_usec))
+
+    def _wait(self, mutex: Mutex, timeout_usec):
+        """The wait; the re-acquire's result, or False when the deadline
+        (untimed when ``timeout_usec`` is None) passed first."""
         ctx = yield GET_CONTEXT
         lib = ctx.process.threadlib
+        me = ctx.thread
         self.waits += 1
         self._m_count(ctx, "waits")
         t0 = ctx.engine.now_ns
-        if not mutex.is_shared and mutex.owner is not ctx.thread:
+        if not mutex.is_shared and mutex.owner is not me:
             raise SyncError(
                 f"{self.name}: cv_wait with {mutex.name} not held")
         yield charge(ctx.costs.sync_user_op)
@@ -91,92 +108,26 @@ class CondVar(SyncVariable):
             yield Touch(cell.mobj, cell.offset)
             # Kernel re-checks the generation before sleeping; EINTR is
             # just a spurious wake (the caller's retest loop absorbs it).
-            yield from usync_block_retry(cell, target_gen,
-                                         f"cv:{self.name}")
+            timeout = None if timeout_usec is None else usec(timeout_usec)
+            timed_out = (yield from usync_block_retry(
+                cell, target_gen, f"cv:{self.name}", timeout)) == 2
         else:
-            yield from lib.block_current_on(
-                self.waiters, reason=self.name,
-                guard=lambda: self.generation == target_gen)
             # NO_SLEEP means a signal landed in the window: treat it as
             # our wakeup (the paper's retest loop absorbs spurious ones).
+            timed_out = (yield from lib.block_current_on(
+                self.waiters, reason=self.name,
+                guard=lambda: self.generation == target_gen,
+                deadline_ns=deadline_after(ctx, timeout_usec),
+                thread=me)) is TIMED_OUT
         acquired = yield from mutex.enter()
         m = ctx.engine.metrics
         if m is not None:
             # Wall-to-wall wait including the mutex re-acquire — the
             # latency the paper's monitor pattern actually experiences.
             m.observe(self._metric_key("wait_ns"), ctx.engine.now_ns - t0)
+        if timed_out and acquired is None:
+            return False
         return acquired
-
-
-    @guarded
-    def timedwait(self, mutex: Mutex, timeout_usec: float):
-        """Generator: wait, but give up after ``timeout_usec``.
-
-        Returns True when (possibly spuriously) signaled, False on
-        timeout.  Either way the mutex is re-held on return, and the
-        caller re-tests its condition as usual.  A Solaris-era extension;
-        the timeout is driven by the kernel's timer facility (standing in
-        for the per-LWP interval timers a real library would arm).
-        """
-        from repro.sim.clock import usec as _usec
-        ctx = yield GET_CONTEXT
-        lib = ctx.process.threadlib
-        kernel = ctx.kernel
-        self.waits += 1
-        self._m_count(ctx, "waits")
-        if not mutex.is_shared and mutex.owner is not ctx.thread:
-            raise SyncError(
-                f"{self.name}: cv_timedwait with {mutex.name} not held")
-        yield charge(ctx.costs.sync_user_op)
-        events.sync_event(ctx, "cv-wait", self, mutex=mutex)
-        timeout_ns = _usec(timeout_usec)
-
-        target_gen = self._gen()
-        yield from mutex.exit()
-        if self.is_shared:
-            cell = self.cell
-            yield Touch(cell.mobj, cell.offset)
-            deadline = kernel.engine.now_ns + timeout_ns
-            timed_out = False
-            while True:
-                remaining = deadline - kernel.engine.now_ns
-                if remaining <= 0:
-                    timed_out = cell.load() == target_gen
-                    break
-                try:
-                    result = yield Syscall(
-                        "usync_block", cell.mobj, cell.offset,
-                        target_gen, f"cv:{self.name}", remaining)
-                except SyscallError as err:
-                    if err.errno != Errno.EINTR:
-                        raise
-                    continue
-                timed_out = result == 2
-                break
-            yield from mutex.enter()
-            return not timed_out
-
-        thread = ctx.thread
-        timed_out_box = {"value": False}
-
-        def on_timeout():
-            if thread in self.waiters:
-                self.waiters.remove(thread)
-                thread.wait_queue = None
-                timed_out_box["value"] = True
-                for lwp_id in lib.make_runnable(thread, value=_TIMEDOUT):
-                    lwp = ctx.process.lwps.get(lwp_id)
-                    if lwp is not None:
-                        kernel.unpark_lwp(lwp)
-
-        timer = kernel.engine.call_after(timeout_ns, on_timeout,
-                                         tag="cv-timeout")
-        outcome = yield from lib.block_current_on(
-            self.waiters, reason=self.name,
-            guard=lambda: self.generation == target_gen)
-        kernel.engine.cancel(timer)
-        yield from mutex.enter()
-        return outcome is not _TIMEDOUT and not timed_out_box["value"]
 
     # ------------------------------------------------------------- signal
 

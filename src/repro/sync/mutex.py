@@ -20,11 +20,9 @@ from repro.sim.clock import usec
 from repro.sync import events
 from repro.sync.guards import guarded
 from repro.sync.variants import (SPIN_POLL_US, SharedCell, SyncVariable,
+                                 deadline_after, timed_result,
                                  usync_block_retry)
-from repro.threads.scheduler import NO_SLEEP
-
-#: Wake value marking a timeout-driven resume of a timedenter.
-_TIMEDOUT = "mutex-timedout"
+from repro.threads.scheduler import NO_SLEEP, TIMED_OUT
 
 
 class Mutex(SyncVariable):
@@ -63,10 +61,32 @@ class Mutex(SyncVariable):
 
     @guarded
     def enter(self):
-        """Generator: acquire the lock (mutex_enter)."""
+        """Generator: acquire the lock (mutex_enter).
+
+        Returns None, or ``Errno.EOWNERDEAD`` when the lock came back
+        from a crashed holder (see :meth:`consistent`).
+        """
         if self.is_shared:
-            result = yield from self._enter_shared()
-            return result
+            return self._enter_shared(None)
+        return self._enter(None)
+
+    @guarded
+    def timedenter(self, timeout_usec: float):
+        """Generator: mutex_enter bounded by a timeout.
+
+        Returns True once the lock is acquired (``Errno.EOWNERDEAD`` as
+        :meth:`enter` does), False when ``timeout_usec`` of virtual time
+        passes first.  The same acquire as :meth:`enter`, plus a
+        deadline, so every blocking primitive can be bounded (timed-wait
+        parity).
+        """
+        if self.is_shared:
+            return timed_result(self._enter_shared(timeout_usec))
+        return timed_result(self._enter(timeout_usec))
+
+    def _enter(self, timeout_usec):
+        """Private-variant acquire; None/EOWNERDEAD, or False once the
+        deadline (untimed when ``timeout_usec`` is None) has passed."""
         ctx = yield GET_CONTEXT
         lib = ctx.process.threadlib
         me = ctx.thread
@@ -74,21 +94,14 @@ class Mutex(SyncVariable):
         yield charge(ctx.costs.mutex_fast_path)
         if self.is_debug and self.owner is me:
             raise SyncError(f"{self.name}: recursive mutex_enter")
+        deadline = deadline_after(ctx, timeout_usec)
         attempted = False
         while True:
             if self.unrecoverable:
-                raise SyscallError(Errno.ENOTRECOVERABLE, "mutex_enter",
-                                   f"{self.name}: owner died and the lock "
-                                   "was released without mutex_consistent")
+                raise self._not_recoverable("mutex_enter")
             if self.owner is None:
                 self.owner = me
-                self.acquisitions += 1
-                self._m_acquired(ctx, attempted, t0)
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "acquire", self,
-                                                 mode="mutex", blocking=True,
-                                                 cell=self.cell)
-                return Errno.EOWNERDEAD if self.owner_dead else None
+                break
             self.contended += 1
             if not attempted:
                 # Contended: announce the *attempt* so the lock-order
@@ -98,6 +111,8 @@ class Mutex(SyncVariable):
                 attempted = True
                 events.sync_event(ctx, "acquire-attempt", self,
                                   mode="mutex", cell=self.cell)
+            if deadline is not None and ctx.engine.now_ns >= deadline:
+                return False
             if self.is_spin or (self.is_adaptive and self._owner_running()):
                 self.spins += 1
                 yield charge(usec(SPIN_POLL_US))
@@ -105,156 +120,33 @@ class Mutex(SyncVariable):
             yield charge(ctx.costs.sync_user_op)
             outcome = yield from lib.block_current_on(
                 self.waiters, reason=self.name,
-                guard=lambda: self.owner is not None)
-            if outcome is not NO_SLEEP:
-                if self.unrecoverable:
-                    raise SyscallError(
-                        Errno.ENOTRECOVERABLE, "mutex_enter",
-                        f"{self.name}: owner died and the lock was "
-                        "released without mutex_consistent")
-                # Direct handoff: the releaser made us the owner.
-                assert self.owner is me
-                self.acquisitions += 1
-                self._m_acquired(ctx, True, t0)
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "acquire", self,
-                                                 mode="mutex", blocking=True,
-                                                 cell=self.cell)
-                return Errno.EOWNERDEAD if self.owner_dead else None
+                guard=lambda: self.owner is not None,
+                deadline_ns=deadline, thread=me)
+            if outcome is TIMED_OUT:
+                return False
+            if outcome is NO_SLEEP or self.unrecoverable:
+                continue         # released meanwhile, or bricked: retest
+            # Direct handoff: the releaser made us the owner.
+            assert self.owner is me
+            break
+        self.acquisitions += 1
+        self._m_acquired(ctx, attempted, t0)
+        if events.sync_active(ctx):
+            yield from events.sync_point(ctx, "acquire", self,
+                                         mode="mutex", blocking=True,
+                                         cell=self.cell)
+        return Errno.EOWNERDEAD if self.owner_dead else None
+
+    def _not_recoverable(self, op: str) -> SyscallError:
+        return SyscallError(Errno.ENOTRECOVERABLE, op,
+                            f"{self.name}: owner died and the lock was "
+                            "released without mutex_consistent")
 
     def _owner_running(self) -> bool:
         """Adaptive policy: is the holder on a CPU right now?"""
         owner = self.owner
         return (owner is not None and owner.lwp is not None
                 and owner.lwp.cpu is not None)
-
-    @guarded
-    def timedenter(self, timeout_usec: float):
-        """Generator: mutex_enter bounded by a timeout.
-
-        Returns True once the lock is acquired, False when
-        ``timeout_usec`` of virtual time passes first.  The timeout is
-        driven by the same kernel timer machinery as
-        :meth:`repro.sync.condvar.CondVar.timedwait`, so every blocking
-        primitive can be bounded (timed-wait parity).
-        """
-        if self.is_shared:
-            result = yield from self._timedenter_shared(timeout_usec)
-            return result
-        ctx = yield GET_CONTEXT
-        lib = ctx.process.threadlib
-        kernel = ctx.kernel
-        me = ctx.thread
-        t0 = ctx.engine.now_ns
-        yield charge(ctx.costs.mutex_fast_path)
-        if self.is_debug and self.owner is me:
-            raise SyncError(f"{self.name}: recursive mutex_enter")
-        deadline = kernel.engine.now_ns + usec(timeout_usec)
-        was_contended = False
-        while True:
-            if self.unrecoverable:
-                raise SyscallError(Errno.ENOTRECOVERABLE, "mutex_enter",
-                                   f"{self.name}: owner died and the lock "
-                                   "was released without mutex_consistent")
-            if self.owner is None:
-                self.owner = me
-                self.acquisitions += 1
-                self._m_acquired(ctx, was_contended, t0)
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "acquire", self,
-                                                 mode="mutex", blocking=True,
-                                                 cell=self.cell)
-                return Errno.EOWNERDEAD if self.owner_dead else True
-            self.contended += 1
-            was_contended = True
-            if kernel.engine.now_ns >= deadline:
-                return False
-            if self.is_spin or (self.is_adaptive and self._owner_running()):
-                self.spins += 1
-                yield charge(usec(SPIN_POLL_US))
-                continue
-            yield charge(ctx.costs.sync_user_op)
-            timed_out_box = {"value": False}
-
-            def on_timeout():
-                if me in self.waiters:
-                    self.waiters.remove(me)
-                    me.wait_queue = None
-                    timed_out_box["value"] = True
-                    for lwp_id in lib.make_runnable(me, value=_TIMEDOUT):
-                        lwp = ctx.process.lwps.get(lwp_id)
-                        if lwp is not None:
-                            kernel.unpark_lwp(lwp)
-
-            timer = kernel.engine.call_after(
-                deadline - kernel.engine.now_ns, on_timeout,
-                tag="mutex-timeout")
-            outcome = yield from lib.block_current_on(
-                self.waiters, reason=self.name,
-                guard=lambda: self.owner is not None)
-            kernel.engine.cancel(timer)
-            if timed_out_box["value"] or outcome is _TIMEDOUT:
-                return False
-            if outcome is not NO_SLEEP:
-                if self.unrecoverable:
-                    raise SyscallError(
-                        Errno.ENOTRECOVERABLE, "mutex_enter",
-                        f"{self.name}: owner died and the lock was "
-                        "released without mutex_consistent")
-                # Direct handoff: the releaser made us the owner.
-                assert self.owner is me
-                self.acquisitions += 1
-                self._m_acquired(ctx, True, t0)
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "acquire", self,
-                                                 mode="mutex", blocking=True,
-                                                 cell=self.cell)
-                return Errno.EOWNERDEAD if self.owner_dead else True
-
-    def _timedenter_shared(self, timeout_usec: float):
-        ctx = yield GET_CONTEXT
-        kernel = ctx.kernel
-        cell = self.cell
-        t0 = ctx.engine.now_ns
-        yield Touch(cell.mobj, cell.offset, write=True)
-        yield charge(ctx.costs.mutex_fast_path)
-        deadline = kernel.engine.now_ns + usec(timeout_usec)
-        slept = False
-        was_contended = False
-        while True:
-            state = cell.load()
-            if state == 0:
-                # See _enter_shared: a waiter that slept must re-acquire
-                # contended, or a second sleeper's mark is erased.
-                cell.store(2 if slept else 1)
-                self.acquisitions += 1
-                self._m_acquired(ctx, was_contended, t0)
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "acquire", self,
-                                                 mode="mutex", blocking=True,
-                                                 cell=cell)
-                return True
-            self.contended += 1
-            was_contended = True
-            remaining = deadline - kernel.engine.now_ns
-            if remaining <= 0:
-                return False
-            if self.is_spin:
-                self.spins += 1
-                yield charge(usec(SPIN_POLL_US))
-                continue
-            cell.store(2)  # mark contended before sleeping
-            try:
-                result = yield Syscall(
-                    "usync_block", cell.mobj, cell.offset, 2,
-                    f"mutex:{self.name}", remaining)
-            except SyscallError as err:
-                if err.errno != Errno.EINTR:
-                    raise
-                continue
-            slept = True
-            if result == 2:  # kernel timer expired before a wake
-                return False
 
     @guarded
     def tryenter(self):
@@ -269,9 +161,7 @@ class Mutex(SyncVariable):
         ctx = yield GET_CONTEXT
         yield charge(ctx.costs.mutex_fast_path)
         if self.unrecoverable:
-            raise SyscallError(Errno.ENOTRECOVERABLE, "mutex_tryenter",
-                               f"{self.name}: owner died and the lock was "
-                               "released without mutex_consistent")
+            raise self._not_recoverable("mutex_tryenter")
         if self.owner is None:
             self.owner = ctx.thread
             self.acquisitions += 1
@@ -356,7 +246,7 @@ class Mutex(SyncVariable):
         self.owner_dead = False
         return 0
 
-    def reclaim_dead_owner(self, lib, kernel):
+    def reclaim_dead_owner(self, lib):
         """Owner's LWP died: transition to owner-dead and hand off.
 
         Called by the kernel's crash-reclaim walk (plain kernel-context
@@ -371,10 +261,7 @@ class Mutex(SyncVariable):
         nxt = self.waiters.pop(0)
         nxt.wait_queue = None
         self.owner = nxt
-        for lwp_id in lib.make_runnable(nxt, value="owner-dead"):
-            lwp = lib.process.lwps.get(lwp_id)
-            if lwp is not None:
-                kernel.unpark_lwp(lwp)
+        lib.unpark_lwps(lib.make_runnable(nxt, value="owner-dead"))
         return nxt
 
     # ==================================================== shared variant
@@ -385,12 +272,15 @@ class Mutex(SyncVariable):
     # in state 2 (it cannot know whether other sleepers remain), so a
     # single wake cannot strand a second sleeper.
 
-    def _enter_shared(self):
+    def _enter_shared(self, timeout_usec):
+        """Shared-variant acquire; None, or False once the deadline
+        (untimed when ``timeout_usec`` is None) has passed."""
         ctx = yield GET_CONTEXT
         cell = self.cell
         yield Touch(cell.mobj, cell.offset, write=True)
         yield charge(ctx.costs.mutex_fast_path)
         t0 = ctx.engine.now_ns
+        deadline = deadline_after(ctx, timeout_usec)
         attempted = False
         slept = False
         while True:
@@ -409,18 +299,25 @@ class Mutex(SyncVariable):
                     yield from events.sync_point(ctx, "acquire", self,
                                                  mode="mutex", blocking=True,
                                                  cell=cell)
-                return
+                return None
             self.contended += 1
             if not attempted:
                 attempted = True
                 events.sync_event(ctx, "acquire-attempt", self,
                                   mode="mutex", cell=cell)
+            timeout = None
+            if deadline is not None:
+                timeout = deadline - ctx.engine.now_ns
+                if timeout <= 0:
+                    return False
             if self.is_spin:
                 self.spins += 1
                 yield charge(usec(SPIN_POLL_US))
                 continue
             cell.store(2)  # mark contended before sleeping
-            yield from usync_block_retry(cell, 2, f"mutex:{self.name}")
+            if (yield from usync_block_retry(
+                    cell, 2, f"mutex:{self.name}", timeout)) == 2:
+                return False
             slept = True
 
     def _tryenter_shared(self):

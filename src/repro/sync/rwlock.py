@@ -345,7 +345,7 @@ class RwLock(SyncVariable):
         self.owner_dead = False
         return 0
 
-    def reclaim_dead_owner(self, lib, kernel, thread) -> bool:
+    def reclaim_dead_owner(self, lib, thread) -> bool:
         """``thread``'s LWP died holding this lock; reclaim its hold.
 
         Kernel-context plain call (crash-reclaim walk).  A dead writer
@@ -373,10 +373,7 @@ class RwLock(SyncVariable):
             for _ in range(n):
                 nxt = queue.pop(0)
                 nxt.wait_queue = None
-                for lwp_id in lib.make_runnable(nxt, value="owner-dead"):
-                    lwp = lib.process.lwps.get(lwp_id)
-                    if lwp is not None:
-                        kernel.unpark_lwp(lwp)
+                lib.unpark_lwps(lib.make_runnable(nxt, value="owner-dead"))
         return marked
 
     # ==================================================== shared variant

@@ -15,20 +15,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import Errno, SyncError, SyscallError
+from repro.errors import SyncError
 from repro.hw.isa import GET_CONTEXT, Syscall, Touch, charge
-from repro.sim.clock import usec
 from repro.sync import events
 from repro.sync.guards import guarded
-from repro.sync.variants import (SharedCell, SyncVariable,
-                                 usync_block_retry)
-from repro.threads.scheduler import NO_SLEEP
+from repro.sync.variants import (SharedCell, SyncVariable, deadline_after,
+                                 timed_result, usync_block_retry)
+from repro.threads.scheduler import TIMED_OUT
 
 #: Wake-token handed from sema_v to the thread it resumes.
 _TOKEN = "sema-token"
-
-#: Wake value marking a timeout-driven resume of a timedp.
-_TIMEDOUT = "sema-timedout"
 
 
 class Semaphore(SyncVariable):
@@ -65,40 +61,57 @@ class Semaphore(SyncVariable):
     @guarded
     def p(self):
         """Generator: decrement, blocking while the count is zero."""
-        self.p_ops += 1
         if self.is_shared:
-            yield from self._p_shared()
-            return
+            return self._p_shared(None)
+        return self._p(None)
+
+    @guarded
+    def timedp(self, timeout_usec: float):
+        """Generator: sema_p bounded by a timeout.
+
+        Returns True once a unit is acquired, False when
+        ``timeout_usec`` of virtual time passes first (timed-wait
+        parity: the same P as :meth:`p`, plus a deadline).
+        """
+        if self.is_shared:
+            return timed_result(self._p_shared(timeout_usec))
+        return timed_result(self._p(timeout_usec))
+
+    def _p(self, timeout_usec):
+        """Private-variant P; None, or False once the deadline
+        (untimed when ``timeout_usec`` is None) has passed."""
+        self.p_ops += 1
         ctx = yield GET_CONTEXT
         lib = ctx.process.threadlib
         me = ctx.thread
         t0 = ctx.engine.now_ns
         was_contended = False
         yield charge(ctx.costs.sync_user_op)
+        deadline = deadline_after(ctx, timeout_usec)
         while True:
             if self.count > 0:
                 self.count -= 1
-                self._note_hold(me)
-                self._m_acquired(ctx, was_contended, t0, op="p")
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "sema-p", self,
-                                                 value=self.count)
-                return
+                break
+            if deadline is not None and ctx.engine.now_ns >= deadline:
+                return False
             self.blocks += 1
             was_contended = True
             outcome = yield from lib.block_current_on(
                 self.waiters, reason=self.name,
-                guard=lambda: self.count == 0)
-            if outcome is NO_SLEEP:
-                continue  # a V slipped in before we slept; retry
+                guard=lambda: self.count == 0,
+                deadline_ns=deadline, thread=me)
+            if outcome is TIMED_OUT:
+                return False
             if outcome == _TOKEN:
                 # Direct handoff from sema_v: count stays consumed.
-                self._note_hold(me)
-                self._m_acquired(ctx, True, t0, op="p")
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "sema-p", self,
-                                                 value=self.count)
-                return
+                break
+            # NO_SLEEP: a V slipped in before we slept; retry.
+        self._note_hold(me)
+        self._m_acquired(ctx, was_contended, t0, op="p")
+        if events.sync_active(ctx):
+            yield from events.sync_point(ctx, "sema-p", self,
+                                         value=self.count)
+        return None
 
     def _note_hold(self, thread) -> None:
         if thread is not None:
@@ -111,104 +124,6 @@ class Semaphore(SyncVariable):
             # Asynchronous V from a non-holder (legal: semaphores "need
             # not be bracketed"): assume the oldest unit was released.
             self.holders.pop(0)
-
-    @guarded
-    def timedp(self, timeout_usec: float):
-        """Generator: sema_p bounded by a timeout.
-
-        Returns True once a unit is acquired, False when
-        ``timeout_usec`` of virtual time passes first (timed-wait
-        parity; same kernel timer machinery as CondVar.timedwait).
-        """
-        self.p_ops += 1
-        if self.is_shared:
-            result = yield from self._timedp_shared(timeout_usec)
-            return result
-        ctx = yield GET_CONTEXT
-        lib = ctx.process.threadlib
-        kernel = ctx.kernel
-        me = ctx.thread
-        t0 = ctx.engine.now_ns
-        was_contended = False
-        yield charge(ctx.costs.sync_user_op)
-        deadline = kernel.engine.now_ns + usec(timeout_usec)
-        while True:
-            if self.count > 0:
-                self.count -= 1
-                self._note_hold(me)
-                self._m_acquired(ctx, was_contended, t0, op="p")
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "sema-p", self,
-                                                 value=self.count)
-                return True
-            if kernel.engine.now_ns >= deadline:
-                return False
-            self.blocks += 1
-            was_contended = True
-            timed_out_box = {"value": False}
-
-            def on_timeout():
-                if me in self.waiters:
-                    self.waiters.remove(me)
-                    me.wait_queue = None
-                    timed_out_box["value"] = True
-                    for lwp_id in lib.make_runnable(me, value=_TIMEDOUT):
-                        lwp = ctx.process.lwps.get(lwp_id)
-                        if lwp is not None:
-                            kernel.unpark_lwp(lwp)
-
-            timer = kernel.engine.call_after(
-                deadline - kernel.engine.now_ns, on_timeout,
-                tag="sema-timeout")
-            outcome = yield from lib.block_current_on(
-                self.waiters, reason=self.name,
-                guard=lambda: self.count == 0)
-            kernel.engine.cancel(timer)
-            if timed_out_box["value"] or outcome is _TIMEDOUT:
-                return False
-            if outcome is NO_SLEEP:
-                continue  # a V slipped in before we slept; retry
-            if outcome == _TOKEN:
-                self._note_hold(me)
-                self._m_acquired(ctx, True, t0, op="p")
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "sema-p", self,
-                                                 value=self.count)
-                return True
-
-    def _timedp_shared(self, timeout_usec: float):
-        ctx = yield GET_CONTEXT
-        kernel = ctx.kernel
-        cell = self.cell
-        yield Touch(cell.mobj, cell.offset, write=True)
-        t0 = ctx.engine.now_ns
-        was_contended = False
-        yield charge(ctx.costs.sync_user_op)
-        deadline = kernel.engine.now_ns + usec(timeout_usec)
-        while True:
-            count = cell.load()
-            if count > 0:
-                cell.store(count - 1)
-                self._m_acquired(ctx, was_contended, t0, op="p")
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "sema-p", self,
-                                                 value=count - 1)
-                return True
-            remaining = deadline - kernel.engine.now_ns
-            if remaining <= 0:
-                return False
-            self.blocks += 1
-            was_contended = True
-            try:
-                result = yield Syscall(
-                    "usync_block", cell.mobj, cell.offset, 0,
-                    f"sema:{self.name}", remaining)
-            except SyscallError as err:
-                if err.errno != Errno.EINTR:
-                    raise
-                continue
-            if result == 2:  # kernel timer expired before a wake
-                return False
 
     @guarded
     def tryp(self):
@@ -266,13 +181,17 @@ class Semaphore(SyncVariable):
     # The cell holds the count; the kernel's expected-value check closes
     # the decide-to-sleep window.
 
-    def _p_shared(self):
+    def _p_shared(self, timeout_usec):
+        """Shared-variant P; None, or False once the deadline (untimed
+        when ``timeout_usec`` is None) has passed."""
+        self.p_ops += 1
         ctx = yield GET_CONTEXT
         cell = self.cell
         t0 = ctx.engine.now_ns
         was_contended = False
         yield Touch(cell.mobj, cell.offset, write=True)
         yield charge(ctx.costs.sync_user_op)
+        deadline = deadline_after(ctx, timeout_usec)
         while True:
             count = cell.load()
             if count > 0:
@@ -281,10 +200,17 @@ class Semaphore(SyncVariable):
                 if events.sync_active(ctx):
                     yield from events.sync_point(ctx, "sema-p", self,
                                                  value=count - 1)
-                return
+                return None
+            timeout = None
+            if deadline is not None:
+                timeout = deadline - ctx.engine.now_ns
+                if timeout <= 0:
+                    return False
             self.blocks += 1
             was_contended = True
-            yield from usync_block_retry(cell, 0, f"sema:{self.name}")
+            if (yield from usync_block_retry(
+                    cell, 0, f"sema:{self.name}", timeout)) == 2:
+                return False
 
     def _tryp_shared(self):
         ctx = yield GET_CONTEXT

@@ -27,6 +27,7 @@ from typing import Optional
 
 from repro.errors import Errno, SyncError, SyscallError
 from repro.hw.isa import Syscall
+from repro.sim.clock import usec
 
 SYNC_DEFAULT = 0x0
 SYNC_SPIN = 0x1
@@ -201,7 +202,27 @@ class SyncVariable:
         return bool(self.vtype & SYNC_DEBUG)
 
 
-def usync_block_retry(cell: SharedCell, expected, label: str):
+def deadline_after(ctx, timeout_usec) -> Optional[int]:
+    """Absolute virtual time ``timeout_usec`` from now, or None (no
+    deadline) for an untimed call."""
+    if timeout_usec is None:
+        return None
+    return ctx.engine.now_ns + usec(timeout_usec)
+
+
+def timed_result(body):
+    """Generator: drive an acquire/wait body for a timed entry point.
+
+    The bodies return the untimed call's result (None, or
+    ``Errno.EOWNERDEAD`` from a robust mutex) or False when their
+    deadline passed; a timed call reports a plain success as True.
+    """
+    result = yield from body
+    return True if result is None else result
+
+
+def usync_block_retry(cell: SharedCell, expected, label: str,
+                      timeout_ns: Optional[int] = None):
     """Generator: kernel sleep on a shared cell, retrying on EINTR.
 
     Signals (notably SIGWAITING, which the kernel sends precisely when
@@ -209,13 +230,21 @@ def usync_block_retry(cell: SharedCell, expected, label: str):
     the sleep; after the handler runs, the wait simply resumes — the
     surrounding user-level retry loop re-checks the cell either way.
     Returns 0 if it slept and was woken, 1 if the kernel's expected-value
-    check declined the sleep.
+    check declined the sleep, 2 if ``timeout_ns`` expired first.
+
+    A sleep with a timeout is not indefinite, so it never raises
+    SIGWAITING; it is not retried either (the retry would restart the
+    timeout): EINTR returns 1 and the caller re-checks the cell against
+    its own deadline.
     """
     while True:
         try:
             result = yield Syscall("usync_block", cell.mobj, cell.offset,
-                                   expected, label=label)
+                                   expected, label=label,
+                                   timeout_ns=timeout_ns)
             return result
         except SyscallError as err:
             if err.errno != Errno.EINTR:
                 raise
+            if timeout_ns is not None:
+                return 1

@@ -137,8 +137,7 @@ def thread_create(func, arg: Any = None, flags: int = 0,
             if stopped:
                 thread.state = ThreadState.STOPPED
             else:
-                for lwp_id in lib.make_runnable(thread):
-                    yield Syscall("lwp_unpark", lwp_id)
+                yield from lib.wake_thread(thread)
         else:
             lwp = ctx.process.lwps[lwp_id]
             lwp.bound_thread = thread
@@ -149,8 +148,7 @@ def thread_create(func, arg: Any = None, flags: int = 0,
     elif stopped:
         thread.state = ThreadState.STOPPED
     else:
-        for lwp_id in lib.make_runnable(thread):
-            yield Syscall("lwp_unpark", lwp_id)
+        yield from lib.wake_thread(thread)
 
     if flags & THREAD_NEW_LWP:
         # "A new LWP is created along with the thread [and] added to the
@@ -482,8 +480,7 @@ def thread_continue(thread_id: int):
         # It was stopped while sleeping on a queue; put it back to sleep.
         target.state = ThreadState.SLEEPING
         return 0
-    for lwp_id in lib.make_runnable(target, value=_KEEP):
-        yield Syscall("lwp_unpark", lwp_id)
+    yield from lib.wake_thread(target, value=_KEEP)
     return 0
 
 

@@ -93,7 +93,7 @@ def reclaim_crashed_thread(kernel, lib, thread, lwp=None) -> dict:
     for sv in sync_variables_in_creation_order():
         kind = getattr(sv, "KIND", None)
         if kind == "mutex" and not sv.is_shared and sv.owner is thread:
-            nxt = sv.reclaim_dead_owner(lib, kernel)
+            nxt = sv.reclaim_dead_owner(lib)
             owner_dead += 1
             if nxt is not None:
                 handoffs += 1
@@ -103,7 +103,7 @@ def reclaim_crashed_thread(kernel, lib, thread, lwp=None) -> dict:
         elif kind == "rwlock" and not sv.is_shared:
             if sv.writer is thread or thread in sv.reader_holders:
                 was_writer = sv.writer is thread
-                if sv.reclaim_dead_owner(lib, kernel, thread):
+                if sv.reclaim_dead_owner(lib, thread):
                     owner_dead += 1
                 # Announced for readers too: the detectors' held-locks
                 # tracker must see the dead holder's entry released even
@@ -132,10 +132,7 @@ def reclaim_crashed_thread(kernel, lib, thread, lwp=None) -> dict:
             thread.wait_claimed = True
         elif not thread.waitable:
             lib.retire_id(thread)
-    for lwp_id in unparks:
-        target = proc.lwps.get(lwp_id)
-        if target is not None:
-            kernel.unpark_lwp(target)
+    lib.unpark_lwps(unparks)
 
     # (5) Stack back to the cache; tell the detectors and the supervisor.
     # TSD destructors are guest code and cannot run here — a documented

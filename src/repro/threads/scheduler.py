@@ -52,6 +52,9 @@ KEEP_VALUE = object()
 #: Returned by block_current_on when the guard predicate vetoed the sleep.
 NO_SLEEP = object()
 
+#: Returned by a timed block_current_on when the deadline passed first.
+TIMED_OUT = object()
+
 
 class _ThreadRunQueue:
     """Priority FIFO of runnable unbound threads (user-level dispatcher).
@@ -120,7 +123,7 @@ class ThreadsLibrary:
     def __init__(self, process, costs, engine):
         self.process = process
         self.costs = costs
-        self.engine = engine  # instrumentation only (traces, time reads)
+        self.engine = engine  # instrumentation, time reads, wait deadlines
 
         self.threads: dict[int, Thread] = {}
         self._next_id = 1
@@ -263,6 +266,16 @@ class ThreadsLibrary:
         for lwp_id in self.make_runnable(thread, value):
             yield Syscall("lwp_unpark", lwp_id)
 
+    def unpark_lwps(self, lwp_ids: list[int]) -> None:
+        """Kernel-context twin of the ``lwp_unpark`` calls: unpark the
+        LWPs :meth:`make_runnable` asked for, from a timer callback or
+        the crash-reclaim walk, where no guest can issue the syscall."""
+        lwps = self.process.lwps
+        for lwp_id in lwp_ids:
+            lwp = lwps.get(lwp_id)
+            if lwp is not None:
+                lwp.kernel.unpark_lwp(lwp)
+
     def wake_from_queue(self, queue: list, n: int = 1, value: Any = None):
         """Generator: wake up to ``n`` threads off a user wait queue;
         returns how many were woken."""
@@ -280,7 +293,9 @@ class ThreadsLibrary:
     # ================================================== blocking / switch
 
     def block_current_on(self, queue: list, reason: str = "sync",
-                         guard: Optional[Callable[[], bool]] = None):
+                         guard: Optional[Callable[[], bool]] = None,
+                         deadline_ns: Optional[int] = None,
+                         thread: Optional[Thread] = None):
         """Generator: sleep the current thread on a user-level wait queue.
 
         Returns the value passed by the waker.  Cost is charged first;
@@ -292,20 +307,51 @@ class ThreadsLibrary:
         returns False the thread does not sleep and :data:`NO_SLEEP` is
         returned — the check-then-block primitive the sync package builds
         semaphores and condition variables from.
+
+        ``deadline_ns`` (absolute virtual time) makes this the timed
+        block of ``thread``, the calling thread: one timer, armed before
+        the block, takes the thread back off ``queue`` at the deadline,
+        and a deadline already past when the atomic block runs declines
+        the sleep; either way :data:`TIMED_OUT` is returned.  The timer
+        is cancelled as soon as the block returns, and a cancelled timer
+        never fires, so a wakeup in time leaves no trace of the deadline.
         """
+        timer = None
+        if deadline_ns is not None:
+            timer = self._arm_timeout(deadline_ns, thread, queue)
         ctx = yield GET_CONTEXT
         thread = ctx.thread
         if not thread.bound:
             yield charge(self.costs.thread_sched_pick)
         # ---- atomic from here to the switch ----
         if guard is not None and not guard():
-            return NO_SLEEP
-        thread.state = ThreadState.SLEEPING
-        thread.wait_queue = queue
-        thread.sleep_since_ns = self.engine.now_ns
-        queue.append(thread)
-        value = yield from self._switch_away(ctx.lwp, thread)
+            value = NO_SLEEP
+        elif timer is not None and self.engine.now_ns >= deadline_ns:
+            value = TIMED_OUT        # the timer fired before we slept
+        else:
+            thread.state = ThreadState.SLEEPING
+            thread.wait_queue = queue
+            thread.sleep_since_ns = self.engine.now_ns
+            queue.append(thread)
+            value = yield from self._switch_away(ctx.lwp, thread)
+        if timer is not None:
+            self.engine.cancel(timer)
         return value
+
+    def _arm_timeout(self, deadline_ns: int, thread: Thread, queue: list):
+        """The timer of a timed block: at ``deadline_ns``, take
+        ``thread`` off ``queue`` if it still sleeps there and resume it
+        with :data:`TIMED_OUT`."""
+        engine = self.engine
+
+        def time_out():
+            if thread in queue:
+                queue.remove(thread)
+                thread.wait_queue = None
+                self.unpark_lwps(self.make_runnable(thread, TIMED_OUT))
+
+        return engine.call_after(max(0, deadline_ns - engine.now_ns),
+                                 time_out, tag="sync-timeout")
 
     def pick_next(self) -> Optional[Thread]:
         """Take the next thread off the run queue.

@@ -309,10 +309,7 @@ class Supervisor:
         lib.threads_created += 1
         self._adopt(spec, thread, engine)
         unparks = lib.make_runnable(thread)
-        for lwp_id in unparks:
-            target = proc.lwps.get(lwp_id)
-            if target is not None:
-                kernel.unpark_lwp(target)
+        lib.unpark_lwps(unparks)
         if not unparks:
             # No parked vehicle picked the child up: the crash killed its
             # pool LWP, so restore the pool too (kernel-context twin of

@@ -7,9 +7,12 @@ closures or on kernel structures afterwards.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.api import Simulator
+from repro.sync import guards
 
 
 def run_program(main, *args, ncpus: int = 1, seed: int = 0, costs=None,
@@ -41,3 +44,13 @@ def sim():
 def sim2():
     """A dual-CPU simulator."""
     return Simulator(ncpus=2)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def sync_guard_check():
+    """With ``REPRO_SYNC_GUARD=1``, fail the session if any sync generator
+    was built but never driven (a missing ``yield from``)."""
+    yield
+    if guards.enabled():
+        gc.collect()
+        guards.check()

@@ -5,7 +5,8 @@ import pytest
 from repro.api import Simulator
 from repro.hw.isa import Charge, Syscall
 from repro.kernel.lwp import PRIO_MAX, PRIO_MIN, SchedClass
-from repro.kernel.sched import classes
+from repro.kernel.sched import GangGroup
+from repro.kernel.sched.policy import RealtimePolicy, TimesharePolicy
 from repro.kernel.sched.runqueue import RunQueue
 from repro.kernel.syscalls.lwp_calls import (PC_BIND_CPU, PC_GETPARMS,
                                              PC_JOIN_GANG, PC_SETCLASS,
@@ -94,7 +95,7 @@ class TestSchedClasses:
             sched_class = SchedClass.REALTIME
             priority = 10
 
-        assert classes.quantum_ns(L(), 1000) is None
+        assert RealtimePolicy().quantum_ns(L(), 1000) is None
 
     def test_ts_low_priority_longer_quantum(self):
         class L:
@@ -105,7 +106,8 @@ class TestSchedClasses:
             sched_class = SchedClass.TIMESHARE
             priority = 59
 
-        assert classes.quantum_ns(L(), 1000) > classes.quantum_ns(H(), 1000)
+        ts = TimesharePolicy()
+        assert ts.quantum_ns(L(), 1000) > ts.quantum_ns(H(), 1000)
 
     def test_priority_feedback(self):
         class L:
@@ -113,9 +115,10 @@ class TestSchedClasses:
             priority = 30
 
         lwp = L()
-        classes.on_quantum_expired(lwp)
+        ts = TimesharePolicy()
+        ts.on_quantum_expired(lwp)
         assert lwp.priority == 29
-        classes.on_sleep_return(lwp)
+        ts.on_wakeup(lwp)
         assert lwp.priority == 30
 
     def test_feedback_clamped(self):
@@ -124,11 +127,11 @@ class TestSchedClasses:
             priority = PRIO_MIN
 
         lwp = L()
-        classes.on_quantum_expired(lwp)
+        TimesharePolicy().on_quantum_expired(lwp)
         assert lwp.priority == PRIO_MIN
 
     def test_gang_group_membership(self):
-        gang = classes.GangGroup()
+        gang = GangGroup()
 
         class L:
             sched_class = SchedClass.TIMESHARE

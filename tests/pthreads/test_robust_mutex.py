@@ -14,8 +14,10 @@ from repro import threads
 from repro.errors import Errno, SyncError
 from repro.hw.isa import GetContext
 from repro.pthreads import (PTHREAD_MUTEX_ROBUST, PTHREAD_PROCESS_SHARED,
-                            PthreadMutex, PthreadMutexAttr,
+                            PthreadCond, PthreadMutex, PthreadMutexAttr,
                             pthread_mutex_consistent)
+from repro.pthreads.sync import (pthread_cond_signal, pthread_cond_wait,
+                                 pthread_mutex_lock, pthread_mutex_unlock)
 from repro.runtime import libc, unistd
 from repro.sim.clock import usec
 from tests.conftest import run_program
@@ -130,4 +132,57 @@ class TestStalledAttr:
         run_program(main, ncpus=2)
         assert observed["first"] == 0
         assert observed["second"] == 0
+        assert not m.impl.owner_dead and not m.impl.unrecoverable
+
+
+class TestCondWaitOwnerDeath:
+    """The mutex's next holder dies while a thread sits in
+    pthread_cond_wait: the wait's re-acquire reports the death exactly
+    as pthread_mutex_lock would for the same attribute."""
+
+    @pytest.mark.parametrize("robust", [False, True],
+                             ids=["stalled", "robust"])
+    def test_cond_wait_maps_owner_death_like_lock(self, robust):
+        observed = {}
+        attr = PthreadMutexAttr(robust=PTHREAD_MUTEX_ROBUST) if robust \
+            else PthreadMutexAttr()
+        m = PthreadMutex(attr, name="cond-mutex")
+        cond = PthreadCond(name="cond")
+
+        def holder(_):
+            ctx = yield GetContext()
+            observed["victim"] = ctx.thread
+            yield from pthread_mutex_lock(m)     # handed over by the wait
+            yield from libc.compute(500_000.0)   # never reached past crash
+
+        def signaler(_):
+            yield from libc.compute(10_000.0)    # well after the crash
+            yield from pthread_cond_signal(cond)
+
+        def main():
+            ctx = yield GetContext()
+            yield from pthread_mutex_lock(m)
+            for body in (holder, signaler):
+                yield from threads.thread_create(
+                    body, None, flags=threads.THREAD_BIND_LWP)
+
+            def kill():
+                ctx.kernel.crash_lwp(observed["victim"].lwp)
+
+            ctx.engine.call_after(usec(2_000.0), kill)
+            observed["wait"] = yield from pthread_cond_wait(cond, m)
+            if observed["wait"] is Errno.EOWNERDEAD:
+                observed["repair"] = pthread_mutex_consistent(m)
+            yield from pthread_mutex_unlock(m)
+            observed["relock"] = yield from pthread_mutex_lock(m)
+            yield from pthread_mutex_unlock(m)
+            yield from unistd.exit(0)
+
+        run_program(main, ncpus=2)
+        if robust:
+            assert observed["wait"] is Errno.EOWNERDEAD
+            assert observed["repair"] == 0
+        else:
+            assert observed["wait"] == 0
+        assert observed["relock"] == 0
         assert not m.impl.owner_dead and not m.impl.unrecoverable

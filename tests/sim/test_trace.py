@@ -3,9 +3,8 @@
 import io
 import json
 
-from repro.sim.trace import (DigestSink, JsonlSink, ListSink, NullSink,
-                             RingBufferSink, TraceRecord, Tracer,
-                             trace_digest)
+from repro.sim.trace import (DigestSink, JsonlSink, ListSink, TraceRecord,
+                             Tracer, trace_digest)
 
 
 class TestEmission:
@@ -43,14 +42,6 @@ def _emit_sample(t: Tracer) -> None:
 
 
 class TestSinks:
-    def test_ring_buffer_keeps_last_n(self):
-        sink = RingBufferSink(capacity=3)
-        t = Tracer(enabled=True, sink=sink, store=False)
-        for i in range(5):
-            t.emit(i, "sched", "tick", "x")
-        assert [r.time_ns for r in sink.records] == [2, 3, 4]
-        assert sink.dropped == 2
-
     def test_jsonl_streams_records(self):
         buf = io.StringIO()
         t = Tracer(enabled=True, sink=JsonlSink(buf), store=False)
@@ -93,11 +84,6 @@ class TestSinks:
         t = Tracer(enabled=True, store=False)
         _emit_sample(t)
         assert t.records == [] and len(t) == 0
-
-    def test_null_sink_discards(self):
-        t = Tracer(enabled=True, sink=NullSink(), store=False)
-        _emit_sample(t)
-        assert len(t) == 0
 
     def test_remove_sink(self):
         sink = ListSink()

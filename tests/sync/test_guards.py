@@ -18,11 +18,26 @@ from repro.sync import guards
 
 @pytest.fixture
 def guard():
+    """The guard on with no violations; the prior state back after, so a
+    guarded session's end-of-run check still sees earlier violations."""
+    was_enabled, earlier = guards.enabled(), guards.violations()
     guards.enable()
     guards.reset()
     yield guards
-    guards.disable()
     guards.reset()
+    guards._violations.extend(earlier)
+    if not was_enabled:
+        guards.disable()
+
+
+@pytest.fixture
+def unguarded():
+    """The guard off, whatever the environment says; restored after."""
+    was_enabled = guards.enabled()
+    guards.disable()
+    yield
+    if was_enabled:
+        guards.enable()
 
 
 def _collect():
@@ -30,13 +45,13 @@ def _collect():
 
 
 class TestDisabled:
-    def test_returns_plain_generator(self):
+    def test_returns_plain_generator(self, unguarded):
         assert not guards.enabled()
         gen = Mutex(name="m").enter()
         assert isinstance(gen, types.GeneratorType)
         gen.close()
 
-    def test_no_violations_recorded(self):
+    def test_no_violations_recorded(self, unguarded):
         gen = Mutex(name="m").enter()
         del gen
         _collect()

@@ -19,7 +19,8 @@ from repro.errors import Errno, SyscallError
 from repro.hw.isa import GetContext
 from repro.runtime import libc, unistd
 from repro.sim.clock import usec
-from repro.sync import Mutex, RW_READER, RW_WRITER, RwLock
+from repro.sync import (CondVar, Mutex, RW_READER, RW_WRITER, RwLock,
+                        cv_wait)
 from tests.conftest import run_program
 
 
@@ -33,24 +34,26 @@ def _crash_holding(sv_hold, observed, hold_usec=500_000.0):
         yield from sv_hold()
         yield from libc.compute(hold_usec)   # never reached past crash
 
-    def arm(ctx):
-        def kill():
-            victim = observed.get("victim")
-            if victim is not None and victim.lwp is not None:
-                ctx.kernel.crash_lwp(victim.lwp)
-            else:
-                ctx.engine.call_after(usec(500.0), kill)
-
-        ctx.engine.call_after(usec(2_000.0), kill)
-
     def start():
         ctx = yield GetContext()
         yield from threads.thread_create(
             holder, None, flags=threads.THREAD_BIND_LWP)
-        arm(ctx)
+        _arm_crash(ctx, observed)
         yield from libc.compute(5_000.0)     # crash + reclaim done
 
     return start
+
+
+def _arm_crash(ctx, observed):
+    """Crash ``observed["victim"]``'s LWP 2 ms from now."""
+    def kill():
+        victim = observed.get("victim")
+        if victim is not None and victim.lwp is not None:
+            ctx.kernel.crash_lwp(victim.lwp)
+        else:
+            ctx.engine.call_after(usec(500.0), kill)
+
+    ctx.engine.call_after(usec(2_000.0), kill)
 
 
 class TestRobustMutex:
@@ -111,6 +114,49 @@ class TestRobustMutex:
 
         run_program(main)
         assert observed["repair"] is Errno.EINVAL
+
+
+class TestRobustCondWait:
+    @pytest.mark.parametrize("call", ["wait", "cv_wait", "timedwait"])
+    def test_wait_returns_the_reacquires_eownerdead(self, call):
+        """The mutex's next holder dies while we sit in the wait: the
+        re-acquire's EOWNERDEAD reaches the caller of every wait, even
+        one that timed out, so it can repair before releasing."""
+        observed = {}
+        m, cv = Mutex(name="cv-mutex"), CondVar(name="cv")
+
+        def holder(_):
+            ctx = yield GetContext()
+            observed["victim"] = ctx.thread
+            yield from m.enter()         # handed over by main's wait
+            yield from libc.compute(500_000.0)   # never reached past crash
+
+        def signaler(_):
+            yield from libc.compute(10_000.0)    # well after the crash
+            yield from cv.signal()
+
+        def main():
+            ctx = yield GetContext()
+            yield from m.enter()
+            timed = call == "timedwait"
+            for body in (holder,) if timed else (holder, signaler):
+                yield from threads.thread_create(
+                    body, None, flags=threads.THREAD_BIND_LWP)
+            _arm_crash(ctx, observed)
+            if timed:
+                observed["wait"] = yield from cv.timedwait(m, 20_000)
+            elif call == "cv_wait":
+                observed["wait"] = yield from cv_wait(cv, m)
+            else:
+                observed["wait"] = yield from cv.wait(m)
+            observed["repair"] = m.consistent()
+            yield from m.exit()
+            yield from unistd.exit(0)
+
+        run_program(main, ncpus=2)
+        assert observed["wait"] is Errno.EOWNERDEAD
+        assert observed["repair"] == 0
+        assert not m.owner_dead and not m.unrecoverable
 
 
 class TestRobustRwLock:

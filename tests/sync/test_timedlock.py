@@ -6,11 +6,15 @@ the timed family in both the private and process-shared (cell/futex)
 variants.
 """
 
+import pytest
+
+from repro.hw.isa import GetContext
 from repro.pthreads.sync import (PthreadMutex, pthread_mutex_lock,
                                  pthread_mutex_timedlock,
                                  pthread_mutex_unlock)
 from repro.runtime import libc, mapped, unistd
-from repro.sync import Mutex, Semaphore, THREAD_SYNC_SHARED
+from repro.sim.clock import usec
+from repro.sync import CondVar, Mutex, Semaphore, THREAD_SYNC_SHARED
 from repro import threads
 from tests.conftest import run_program
 
@@ -178,3 +182,45 @@ class TestPthreadMutexTimedlock:
 
         run_program(main, ncpus=2)
         assert got == [Errno.ETIMEDOUT, 0]
+
+
+class TestShortTimeouts:
+    """A timeout that runs out during the block's own charges (the
+    sync_user_op charge before a mutex sleep, the user-level thread
+    pick) still expires on time: the block sees the passed deadline and
+    declines the sleep, instead of sleeping past a timer that already
+    fired or arming one in the past."""
+
+    @pytest.mark.parametrize("timeout_usec", [0, 1, 30, 60])
+    @pytest.mark.parametrize("primitive", ["mutex", "sema", "cv"])
+    def test_expires(self, primitive, timeout_usec):
+        got = []
+        m, s, cv = Mutex(name="m"), Semaphore(0, name="s"), CondVar()
+
+        def waiter(_):
+            if primitive == "cv":
+                yield from m.enter()
+            ctx = yield GetContext()
+            t0 = ctx.engine.now_ns
+            if primitive == "mutex":
+                ok = yield from m.timedenter(timeout_usec)
+            elif primitive == "sema":
+                ok = yield from s.timedp(timeout_usec)
+            else:
+                ok = yield from cv.timedwait(m, timeout_usec)
+                yield from m.exit()
+            got.append((ok, ctx.engine.now_ns - t0))
+
+        def main():
+            if primitive == "mutex":
+                yield from m.enter()     # held until the waiter gave up
+            tid = yield from threads.thread_create(
+                waiter, None, flags=threads.THREAD_WAIT)
+            yield from threads.thread_wait(tid)
+            if primitive == "mutex":
+                yield from m.exit()
+
+        run_program(main)
+        (ok, elapsed), = got
+        assert ok is False
+        assert elapsed >= usec(timeout_usec)
