@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Observability: CPU timelines and syscall latencies from the tracer.
+"""Observability: CPU timelines from the tracer, totals from the registry.
 
-Runs a small mixed workload with tracing enabled and post-processes the
-event stream into a text Gantt chart of CPU occupancy, per-LWP busy time,
-and per-syscall latency summaries — the kind of view a researcher uses to
-*see* the two-level scheduling at work.
+Runs a small mixed workload with tracing and metrics enabled.  The event
+stream becomes a text Gantt chart of CPU occupancy; the metrics registry,
+which records them live, gives per-LWP busy time and per-syscall latency
+summaries — the kind of view a researcher uses to *see* the two-level
+scheduling at work.
 
 Run:  python examples/trace_timeline.py
 """
@@ -45,7 +46,7 @@ def main_program():
 
 
 def main():
-    sim = Simulator(ncpus=2, trace=True)
+    sim = Simulator(ncpus=2, trace=True, metrics=True)
     sim.spawn(main_program)
     sim.run()
 
@@ -54,16 +55,17 @@ def main():
                            until_ns=sim.engine.now_ns))
 
     print("\n=== busy time per LWP ===")
-    for lwp, ns in sorted(
-            tracetools.busy_ns_by_lwp(
-                sim.tracer, until_ns=sim.engine.now_ns).items()):
-        print(f"  {lwp:12s} {ns / 1000:10,.0f} usec")
+    busy = "sched.oncpu_ns_by_lwp."
+    for name, c in sorted(sim.metrics.counters.items()):
+        if name.startswith(busy):
+            print(f"  {name[len(busy):]:12s} {c.value / 1000:10,.0f} usec")
 
     print("\n=== syscall latencies (usec) ===")
-    for name, s in sorted(tracetools.syscall_latencies(
-            sim.tracer).items()):
-        print(f"  {name:14s} n={s['n']:3d}  mean={s['mean'] / 1000:9.1f}"
-              f"  max={s['max'] / 1000:9.1f}")
+    latency = "syscall.latency_ns."
+    for name, h in sorted(sim.metrics.histograms.items()):
+        if name.startswith(latency):
+            print(f"  {name[len(latency):]:14s} n={h.count:3d}"
+                  f"  mean={h.mean / 1000:9.1f}  max={h.max / 1000:9.1f}")
 
     switches = tracetools.thread_switches(sim.tracer)
     print(f"\nuser-level thread switches observed: {len(switches)}")

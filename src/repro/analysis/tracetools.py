@@ -1,9 +1,12 @@
 """Trace post-processing: timelines and schedules from trace records.
 
 Turn a :class:`~repro.sim.trace.Tracer`'s records into per-LWP execution
-intervals, per-thread switch histories, syscall latency summaries, and a
-text Gantt chart — the observability layer a systems researcher wants on
-top of the raw event stream.
+intervals, per-thread switch histories, and a text Gantt chart — the
+views that need the ordered event stream.  Totals the simulator already
+keeps live (per-LWP on-CPU time, per-syscall latency) come from the
+metrics registry instead: ``Simulator(metrics=True)`` and its
+``sched.oncpu_ns_by_lwp.*`` counters and ``syscall.latency_ns.*``
+histograms (:mod:`repro.obs`).
 """
 
 from __future__ import annotations
@@ -12,12 +15,11 @@ import dataclasses
 from collections import defaultdict
 from typing import Optional
 
-from repro.analysis.metrics import summarize
 from repro.sim.trace import Tracer
 
 #: Categories this module consumes; pass to ``Tracer(categories=...)`` (or
 #: trace everything).
-CATEGORIES = ("sched", "syscall", "thread")
+CATEGORIES = ("sched", "thread")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,38 +71,6 @@ def lwp_intervals(tracer: Tracer) -> list[Interval]:
     for cpu, (subject, start) in list(open_by_cpu.items()):
         intervals.append(Interval(subject, cpu, start, None))
     return intervals
-
-
-def busy_ns_by_lwp(tracer: Tracer, until_ns: Optional[int] = None) -> dict:
-    """Total on-CPU nanoseconds per LWP (open intervals clipped)."""
-    out: dict[str, int] = defaultdict(int)
-    for iv in lwp_intervals(tracer):
-        end = iv.end_ns if iv.end_ns is not None else until_ns
-        if end is None:
-            continue
-        out[iv.subject] += max(0, end - iv.start_ns)
-    return dict(out)
-
-
-def syscall_latencies(tracer: Tracer) -> dict:
-    """Per-syscall latency summaries from enter/exit (or error) pairs.
-
-    Nested pairs per LWP are matched with a stack, so syscalls made from
-    signal handlers running above an interrupted call pair correctly.
-    """
-    stacks: dict[str, list[tuple[str, int]]] = defaultdict(list)
-    samples: dict[str, list[float]] = defaultdict(list)
-    for rec in tracer.records:
-        if rec.category != "syscall":
-            continue
-        if rec.event == "enter":
-            stacks[rec.subject].append((rec.detail["call"], rec.time_ns))
-        elif rec.event in ("exit", "error"):
-            stack = stacks[rec.subject]
-            if stack:
-                name, start = stack.pop()
-                samples[name].append(rec.time_ns - start)
-    return {name: summarize(vals) for name, vals in samples.items()}
 
 
 def thread_switches(tracer: Tracer) -> list[tuple[int, str, str, str]]:

@@ -188,43 +188,13 @@ class PthreadCond:
         yield from self._impl.broadcast()
 
 
-# --------------------------------------------------------------------
-# POSIX-style free functions.
-# --------------------------------------------------------------------
-
-def pthread_mutex_lock(mutex: PthreadMutex):
-    result = yield from mutex.lock()
-    return result
-
-
-def pthread_mutex_trylock(mutex: PthreadMutex):
-    result = yield from mutex.trylock()
-    return result
-
-
-def pthread_mutex_timedlock(mutex: PthreadMutex, timeout_usec: float):
-    result = yield from mutex.timedlock(timeout_usec)
-    return result
-
-
-def pthread_mutex_unlock(mutex: PthreadMutex):
-    yield from mutex.unlock()
-
-
-def pthread_mutex_consistent(mutex: PthreadMutex) -> int:
-    """Plain call (no yields): mark the protected state repaired after
-    an ``EOWNERDEAD`` acquire of a robust mutex."""
-    return mutex.consistent()
-
-
-def pthread_cond_wait(cond: PthreadCond, mutex: PthreadMutex):
-    result = yield from cond.wait(mutex)
-    return result
-
-
-def pthread_cond_signal(cond: PthreadCond):
-    yield from cond.signal()
-
-
-def pthread_cond_broadcast(cond: PthreadCond):
-    yield from cond.broadcast()
+# POSIX-style free functions: each is the method it names, so
+# ``yield from pthread_mutex_lock(m)`` is ``yield from m.lock()``.
+pthread_mutex_lock = PthreadMutex.lock
+pthread_mutex_trylock = PthreadMutex.trylock
+pthread_mutex_timedlock = PthreadMutex.timedlock
+pthread_mutex_unlock = PthreadMutex.unlock
+pthread_mutex_consistent = PthreadMutex.consistent
+pthread_cond_wait = PthreadCond.wait
+pthread_cond_signal = PthreadCond.signal
+pthread_cond_broadcast = PthreadCond.broadcast

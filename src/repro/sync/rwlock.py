@@ -19,7 +19,10 @@ writer starvation (the standard kernel rwlock policy of the era).
 
 The process-shared variant is composed from a shared mutex and two shared
 condition variables — a legitimate layering the paper's uniform model
-invites.
+invites.  Both variants keep one contract and run one acquire path each,
+driven by a two-row mode table: ``RW_READER`` and ``RW_WRITER`` each name
+an event label, a metrics op, and the queue their waiters sleep on (a
+threads-library wait list, or a shared condition variable).
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from repro.sync import events
 from repro.sync.guards import guarded
 from repro.sync.condvar import CondVar
 from repro.sync.mutex import Mutex
-from repro.sync.variants import (THREAD_SYNC_SHARED, SharedCell,
-                                 SyncVariable)
+from repro.sync.variants import THREAD_SYNC_SHARED, SyncVariable
 
 
 class RwType(enum.Enum):
@@ -62,7 +64,6 @@ class RwLock(SyncVariable):
         super().__init__(vtype & ~THREAD_SYNC_SHARED, None, name)
         self.readers = 0
         self.writer = None
-        self.upgrading = False
         self.reader_waiters: list = []
         self.writer_waiters: list = []
         # Owner-death protocol (private variant; writer deaths only — a
@@ -80,6 +81,7 @@ class RwLock(SyncVariable):
         self.downgrades = 0
         self.upgrades = 0
 
+        queues = (self.reader_waiters, self.writer_waiters)
         if shared:
             if cells is None or len(cells) != 4:
                 raise SyncError(
@@ -95,112 +97,105 @@ class RwLock(SyncVariable):
             self._state = scell  # dict cell: counts shared across procs
             # Protocol word, like a SyncVariable cell: detectors skip it.
             scell.mobj.sync_offsets.add(scell.offset)
+            queues = (self._rcv, self._wcv)
+        # The mode table: event label, _m_acquired op, waiter queue.
+        self._modes = {RW_READER: ("reader", "read", queues[0]),
+                       RW_WRITER: ("writer", "write", queues[1])}
 
     @property
     def is_shared(self) -> bool:  # override: flag stripped in __init__
         return self._shared
 
+    def _mode(self, rw_type: RwType) -> tuple:
+        """``rw_type``'s row of the mode table."""
+        row = self._modes.get(rw_type)
+        if row is None:
+            raise SyncError(f"bad rw_enter type: {rw_type!r}")
+        return row
+
     # =================================================== private variant
 
     @guarded
     def enter(self, rw_type: RwType):
-        """Generator: acquire for reading or writing (rw_enter)."""
+        """Generator: acquire for reading or writing (rw_enter).
+
+        Returns None, or ``Errno.EOWNERDEAD`` when a writer died holding
+        the lock (see :meth:`consistent`).
+        """
+        label, _, queue = self._mode(rw_type)
         if self._shared:
-            yield from self._enter_shared(rw_type)
+            yield from self._enter_shared(rw_type, queue)
             return
         ctx = yield GET_CONTEXT
-        lib = ctx.process.threadlib
         me = ctx.thread
         t0 = ctx.engine.now_ns
         yield charge(ctx.costs.sync_user_op)
         attempted = False
-        if rw_type is RW_READER:
-            while True:
-                if self.unrecoverable:
-                    raise SyscallError(
-                        Errno.ENOTRECOVERABLE, "rw_enter",
-                        f"{self.name}: writer died and the lock was "
-                        "released without consistent()")
-                if self.writer is None and not self.writer_waiters:
-                    self.readers += 1
-                    self.read_acquires += 1
-                    self._m_acquired(ctx, attempted, t0, op="read")
-                    if me is not None:
-                        self.reader_holders.append(me)
-                    if events.sync_active(ctx):
-                        yield from events.sync_point(ctx, "acquire", self,
-                                                     mode="reader",
-                                                     blocking=True)
-                    return (Errno.EOWNERDEAD if self.owner_dead
-                            else None)
-                if not attempted:
-                    # Announce the contended attempt so lock-order edges
-                    # exist even when this acquire deadlocks (see
-                    # Mutex.enter).
-                    attempted = True
-                    events.sync_event(ctx, "acquire-attempt", self,
-                                      mode="reader")
-                yield from lib.block_current_on(
-                    self.reader_waiters, reason=f"{self.name}.r",
-                    guard=lambda: (self.writer is not None
-                                   or bool(self.writer_waiters)))
-        elif rw_type is RW_WRITER:
-            while True:
-                if self.unrecoverable:
-                    raise SyscallError(
-                        Errno.ENOTRECOVERABLE, "rw_enter",
-                        f"{self.name}: writer died and the lock was "
-                        "released without consistent()")
-                if self.writer is None and self.readers == 0:
-                    self.writer = me
-                    self.write_acquires += 1
-                    self._m_acquired(ctx, attempted, t0, op="write")
-                    if events.sync_active(ctx):
-                        yield from events.sync_point(ctx, "acquire", self,
-                                                     mode="writer",
-                                                     blocking=True)
-                    return (Errno.EOWNERDEAD if self.owner_dead
-                            else None)
-                if not attempted:
-                    attempted = True
-                    events.sync_event(ctx, "acquire-attempt", self,
-                                      mode="writer")
-                yield from lib.block_current_on(
-                    self.writer_waiters, reason=f"{self.name}.w",
-                    guard=lambda: (self.writer is not None
-                                   or self.readers > 0))
-        else:
-            raise SyncError(f"bad rw_enter type: {rw_type!r}")
+        while not self._free(rw_type, "rw_enter"):
+            if not attempted:
+                # Announce the contended attempt so lock-order edges
+                # exist even when this acquire deadlocks (see
+                # Mutex.enter).
+                attempted = True
+                events.sync_event(ctx, "acquire-attempt", self, mode=label)
+            yield from ctx.process.threadlib.block_current_on(
+                queue, reason=f"{self.name}.{label[0]}",
+                guard=lambda: not self._free(rw_type, "rw_enter"))
+        result = yield from self._grant(ctx, me, rw_type, True,
+                                        attempted, t0)
+        return result
 
     @guarded
     def tryenter(self, rw_type: RwType):
-        """Generator: acquire "if doing so would not require blocking"."""
+        """Generator: acquire "if doing so would not require blocking".
+
+        Truthy on success (True, or ``Errno.EOWNERDEAD`` as :meth:`enter`
+        returns it), False when busy; raises ``ENOTRECOVERABLE`` on a
+        bricked lock, as :meth:`Mutex.tryenter` does.
+        """
+        self._mode(rw_type)              # a bad type raises, as in enter
         if self._shared:
             result = yield from self._tryenter_shared(rw_type)
             return result
         ctx = yield GET_CONTEXT
         yield charge(ctx.costs.sync_user_op)
-        if rw_type is RW_READER:
-            if self.writer is None and not self.writer_waiters:
-                self.readers += 1
-                self.read_acquires += 1
-                self._m_acquired(ctx, False, 0, op="read")
-                if ctx.thread is not None:
-                    self.reader_holders.append(ctx.thread)
-                if events.sync_active(ctx):
-                    yield from events.sync_point(ctx, "acquire", self,
-                                                 mode="reader", blocking=False)
-                return True
+        if not self._free(rw_type, "rw_tryenter"):
             return False
-        if self.writer is None and self.readers == 0:
-            self.writer = ctx.thread
+        result = yield from self._grant(ctx, ctx.thread, rw_type, False)
+        return result or True
+
+    def _free(self, rw_type: RwType, op: str) -> bool:
+        """Writer preference: may ``rw_type`` be granted now?  Raises
+        ENOTRECOVERABLE once the lock is bricked."""
+        if self.unrecoverable:
+            raise SyscallError(
+                Errno.ENOTRECOVERABLE, op,
+                f"{self.name}: writer died and the lock was released "
+                "without consistent()")
+        if self.writer is not None:
+            return False
+        if rw_type is RW_READER:
+            return not self.writer_waiters
+        return self.readers == 0
+
+    def _grant(self, ctx, me, rw_type: RwType, blocking: bool,
+               contended: bool = False, t0: int = 0):
+        """Generator: hand ``me`` the lock in ``rw_type``'s mode;
+        EOWNERDEAD when a writer died holding it, else None."""
+        label, op, _ = self._modes[rw_type]
+        if rw_type is RW_READER:
+            self.readers += 1
+            self.read_acquires += 1
+            if me is not None:
+                self.reader_holders.append(me)
+        else:
+            self.writer = me
             self.write_acquires += 1
-            self._m_acquired(ctx, False, 0, op="write")
-            if events.sync_active(ctx):
-                yield from events.sync_point(ctx, "acquire", self,
-                                             mode="writer", blocking=False)
-            return True
-        return False
+        self._m_acquired(ctx, contended, t0, op=op)
+        if events.sync_active(ctx):
+            yield from events.sync_point(ctx, "acquire", self, mode=label,
+                                         blocking=blocking)
+        return Errno.EOWNERDEAD if self.owner_dead else None
 
     @guarded
     def exit(self):
@@ -209,32 +204,35 @@ class RwLock(SyncVariable):
             yield from self._exit_shared()
             return
         ctx = yield GET_CONTEXT
-        lib = ctx.process.threadlib
         me = ctx.thread
         yield charge(ctx.costs.sync_user_op)
         if self.writer is me:
+            label = "writer"
             self.writer = None
             self._m_released(ctx)
-            if self.owner_dead:
-                yield from self._brick(lib)
-            else:
-                yield from self._wake_next(lib)
-            if events.sync_active(ctx):
-                yield from events.sync_point(ctx, "release", self,
-                                             mode="writer")
-            return
-        if self.readers <= 0:
+        elif self.readers > 0:
+            label = "reader"
+            self.readers -= 1
+            if me in self.reader_holders:
+                self.reader_holders.remove(me)
+        else:
             raise SyncError(f"{self.name}: rw_exit with lock not held")
-        self.readers -= 1
-        if me in self.reader_holders:
-            self.reader_holders.remove(me)
         if self.readers == 0:
+            lib = ctx.process.threadlib
             if self.owner_dead:
                 yield from self._brick(lib)
             else:
-                yield from self._wake_next(lib)
+                queue, n = self._next_waiters()
+                yield from lib.wake_from_queue(queue, n=n)
         if events.sync_active(ctx):
-            yield from events.sync_point(ctx, "release", self, mode="reader")
+            yield from events.sync_point(ctx, "release", self, mode=label)
+
+    def _next_waiters(self) -> tuple:
+        """Writer preference: the queue to wake and how many — one
+        waiting writer, else every waiting reader."""
+        if self.writer_waiters:
+            return self.writer_waiters, 1
+        return self.reader_waiters, len(self.reader_waiters)
 
     def _brick(self, lib):
         """Last holder out without consistent(): permanently unrecoverable.
@@ -244,20 +242,8 @@ class RwLock(SyncVariable):
         """
         self.owner_dead = False
         self.unrecoverable = True
-        if self.writer_waiters:
-            yield from lib.wake_from_queue(self.writer_waiters,
-                                           n=len(self.writer_waiters))
-        if self.reader_waiters:
-            yield from lib.wake_from_queue(self.reader_waiters,
-                                           n=len(self.reader_waiters))
-
-    def _wake_next(self, lib):
-        """Writer preference: wake one waiting writer, else all readers."""
-        if self.writer_waiters:
-            yield from lib.wake_from_queue(self.writer_waiters, n=1)
-        elif self.reader_waiters:
-            yield from lib.wake_from_queue(self.reader_waiters,
-                                           n=len(self.reader_waiters))
+        for queue in (self.writer_waiters, self.reader_waiters):
+            yield from lib.wake_from_queue(queue, n=len(queue))
 
     @guarded
     def downgrade(self):
@@ -300,7 +286,7 @@ class RwLock(SyncVariable):
         yield charge(ctx.costs.sync_user_op)
         if self.readers <= 0:
             raise SyncError(f"{self.name}: rw_tryupgrade without read lock")
-        if self.upgrading or self.writer_waiters:
+        if self.writer_waiters:
             return False
         if self.readers == 1:
             self.readers = 0
@@ -320,10 +306,17 @@ class RwLock(SyncVariable):
 
     @property
     def state(self) -> str:
-        if self.writer is not None:
+        """The lock's state in either variant: "writer", "readers:<n>"
+        or "free"."""
+        if self._shared:
+            st = self._state.load()      # a zero cell is a free lock
+            writer, readers = (st["writer"], st["readers"]) if st else (0, 0)
+        else:
+            writer, readers = self.writer is not None, self.readers
+        if writer:
             return "writer"
-        if self.readers:
-            return f"readers:{self.readers}"
+        if readers:
+            return f"readers:{readers}"
         return "free"
 
     # ------------------------------------------- owner-death reclamation
@@ -365,11 +358,7 @@ class RwLock(SyncVariable):
         else:
             return False
         if self.writer is None and self.readers == 0:
-            # Non-generator _wake_next: writer preference, same policy.
-            if self.writer_waiters:
-                queue, n = self.writer_waiters, 1
-            else:
-                queue, n = self.reader_waiters, len(self.reader_waiters)
+            queue, n = self._next_waiters()
             for _ in range(n):
                 nxt = queue.pop(0)
                 nxt.wait_queue = None
@@ -388,56 +377,53 @@ class RwLock(SyncVariable):
             self._state.store(state)
         return state
 
-    def _enter_shared(self, rw_type: RwType):
+    @staticmethod
+    def _busy_shared(st: dict, rw_type: RwType) -> bool:
+        """Writer preference over the state dict: must ``rw_type``
+        wait?"""
+        if rw_type is RW_READER:
+            return bool(st["writer"] or st["wwaiting"])
+        return bool(st["writer"] or st["readers"])
+
+    def _take_shared(self, ctx, st: dict, rw_type: RwType, blocking: bool,
+                     waited: bool = False, t0: int = 0) -> None:
+        """Record ``rw_type``'s hold in the state dict (mutex held)."""
+        label, op, _ = self._modes[rw_type]
+        if rw_type is RW_READER:
+            st["readers"] += 1
+            self.read_acquires += 1
+        else:
+            st["writer"] = 1
+            self.write_acquires += 1
+        self._m_acquired(ctx, waited, t0, op=op)
+        events.sync_event(ctx, "acquire", self, mode=label,
+                          blocking=blocking, cell=self._state)
+
+    def _enter_shared(self, rw_type: RwType, cv: CondVar):
+        # A writer counts as waiting from its first look, so readers that
+        # arrive while it waits queue behind it.
+        pending = 1 if rw_type is RW_WRITER else 0
         ctx = yield GET_CONTEXT
         t0 = ctx.engine.now_ns
         waited = False
         yield from self._m.enter()
         st = self._load_state()
-        if rw_type is RW_READER:
-            while st["writer"] or st["wwaiting"]:
-                waited = True
-                yield from self._rcv.wait(self._m)
-                st = self._load_state()
-            st["readers"] += 1
-            self.read_acquires += 1
-            self._m_acquired(ctx, waited, t0, op="read")
-            events.sync_event(ctx, "acquire", self, mode="reader",
-                              blocking=True, cell=self._state)
-        else:
-            st["wwaiting"] += 1
-            while st["writer"] or st["readers"]:
-                waited = True
-                yield from self._wcv.wait(self._m)
-                st = self._load_state()
-            st["wwaiting"] -= 1
-            st["writer"] = 1
-            self.write_acquires += 1
-            self._m_acquired(ctx, waited, t0, op="write")
-            events.sync_event(ctx, "acquire", self, mode="writer",
-                              blocking=True, cell=self._state)
+        st["wwaiting"] += pending
+        while self._busy_shared(st, rw_type):
+            waited = True
+            yield from cv.wait(self._m)
+            st = self._load_state()
+        st["wwaiting"] -= pending
+        self._take_shared(ctx, st, rw_type, True, waited, t0)
         yield from self._m.exit()
 
     def _tryenter_shared(self, rw_type: RwType):
         ctx = yield GET_CONTEXT
         yield from self._m.enter()
         st = self._load_state()
-        ok = False
-        if rw_type is RW_READER:
-            if not st["writer"] and not st["wwaiting"]:
-                st["readers"] += 1
-                self.read_acquires += 1
-                ok = True
-        else:
-            if not st["writer"] and not st["readers"]:
-                st["writer"] = 1
-                self.write_acquires += 1
-                ok = True
+        ok = not self._busy_shared(st, rw_type)
         if ok:
-            events.sync_event(
-                ctx, "acquire", self,
-                mode="reader" if rw_type is RW_READER else "writer",
-                blocking=False, cell=self._state)
+            self._take_shared(ctx, st, rw_type, False)
         yield from self._m.exit()
         return ok
 
@@ -486,12 +472,14 @@ class RwLock(SyncVariable):
         ctx = yield GET_CONTEXT
         yield from self._m.enter()
         st = self._load_state()
-        ok = False
-        if st["readers"] == 1 and not st["writer"] and not st["wwaiting"]:
+        if st["readers"] <= 0:
+            yield from self._m.exit()
+            raise SyncError(f"{self.name}: rw_tryupgrade without read lock")
+        ok = st["readers"] == 1 and not st["wwaiting"]
+        if ok:
             st["readers"] = 0
             st["writer"] = 1
             self.upgrades += 1
-            ok = True
             events.sync_event(ctx, "release", self, mode="reader",
                               cell=self._state)
             events.sync_event(ctx, "acquire", self, mode="writer",

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import tracetools
 from repro.api import Simulator
 from repro.hw.isa import Charge
-from repro.runtime import unistd
 from repro.sim.trace import Tracer
 from repro import threads
 from repro.sim.clock import usec
@@ -27,46 +26,6 @@ class TestIntervals:
         ivs = tracetools.lwp_intervals(sim.tracer)
         assert ivs
         assert all(iv.cpu == "cpu-0" for iv in ivs)
-
-    def test_busy_time_tracks_compute(self):
-        def main():
-            yield Charge(usec(5_000))
-
-        sim = traced_run(main)
-        busy = tracetools.busy_ns_by_lwp(sim.tracer,
-                                         until_ns=sim.engine.now_ns)
-        assert sum(busy.values()) >= usec(5_000)
-
-    def test_sleep_gap_not_busy(self):
-        def main():
-            yield Charge(usec(1_000))
-            yield from unistd.sleep_usec(50_000)
-            yield Charge(usec(1_000))
-
-        sim = traced_run(main)
-        busy = tracetools.busy_ns_by_lwp(sim.tracer,
-                                         until_ns=sim.engine.now_ns)
-        total = sum(busy.values())
-        assert total < usec(10_000)  # the 50ms sleep is off-CPU
-
-
-class TestSyscallLatencies:
-    def test_nanosleep_latency_measured(self):
-        def main():
-            yield from unistd.sleep_usec(20_000)
-
-        sim = traced_run(main)
-        lat = tracetools.syscall_latencies(sim.tracer)
-        assert "nanosleep" in lat
-        assert lat["nanosleep"]["mean"] >= usec(20_000)
-
-    def test_trivial_syscall_cheap(self):
-        def main():
-            yield from unistd.getpid()
-
-        sim = traced_run(main)
-        lat = tracetools.syscall_latencies(sim.tracer)
-        assert lat["getpid"]["mean"] <= usec(100)
 
 
 class TestThreadSwitches:

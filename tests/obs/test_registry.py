@@ -1,7 +1,10 @@
 """Unit tests for the metrics registry primitives."""
 
 from repro.api import Simulator
+from repro.hw.isa import Charge
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.runtime import unistd
+from repro.sim.clock import usec
 
 
 class TestCounterGauge:
@@ -129,3 +132,53 @@ class TestSimulatorIntegration:
         sim = Simulator(ncpus=1)
         assert sim.metrics is None
         assert sim.engine.metrics is None
+
+
+def _metered_run(main):
+    sim = Simulator(ncpus=1, metrics=True)
+    sim.spawn(main)
+    sim.run()
+    return sim.metrics
+
+
+def _busy_ns(reg: MetricsRegistry) -> int:
+    return sum(c.value for name, c in reg.counters.items()
+               if name.startswith("sched.oncpu_ns_by_lwp."))
+
+
+class TestOnCpuByLwp:
+    """``sched.oncpu_ns_by_lwp.*``: per-LWP busy time, recorded live."""
+
+    def test_busy_time_tracks_compute(self):
+        def main():
+            yield Charge(usec(5_000))
+
+        assert _busy_ns(_metered_run(main)) >= usec(5_000)
+
+    def test_sleep_gap_not_busy(self):
+        def main():
+            yield Charge(usec(1_000))
+            yield from unistd.sleep_usec(50_000)
+            yield Charge(usec(1_000))
+
+        # The 50 ms sleep is off-CPU.
+        assert _busy_ns(_metered_run(main)) < usec(10_000)
+
+
+class TestSyscallLatency:
+    """``syscall.latency_ns.<name>``: entry-to-return latency."""
+
+    def test_nanosleep_latency_measured(self):
+        def main():
+            yield from unistd.sleep_usec(20_000)
+
+        h = _metered_run(main).histograms["syscall.latency_ns.nanosleep"]
+        assert h.count == 1
+        assert h.mean >= usec(20_000)
+
+    def test_trivial_syscall_cheap(self):
+        def main():
+            yield from unistd.getpid()
+
+        h = _metered_run(main).histograms["syscall.latency_ns.getpid"]
+        assert h.mean <= usec(100)

@@ -7,6 +7,7 @@ from repro import pthreads
 from repro.pthreads.api import (PTHREAD_CREATE_DETACHED,
                                 PTHREAD_SCOPE_SYSTEM, PthreadAttr,
                                 pthread_once, pthread_once_init)
+from repro.pthreads import sync as psync
 from repro.pthreads.sync import (PTHREAD_MUTEX_ERRORCHECK,
                                  PthreadCond, PthreadMutex,
                                  PthreadMutexAttr, pthread_cond_signal,
@@ -225,6 +226,17 @@ class TestMutexCond:
     def test_pshared_without_cell_rejected(self):
         with pytest.raises(SyncError):
             PthreadMutexAttr(pshared=pthreads.PTHREAD_PROCESS_SHARED)
+
+
+class TestFreeFunctions:
+    @pytest.mark.parametrize("name", sorted(
+        name for name in vars(psync)
+        if name.startswith(("pthread_mutex_", "pthread_cond_"))))
+    def test_name_is_the_method_it_names(self, name):
+        """``pthread_mutex_lock`` is ``PthreadMutex.lock``, and so on."""
+        _, kind, op = name.split("_", 2)
+        cls = {"mutex": PthreadMutex, "cond": PthreadCond}[kind]
+        assert getattr(psync, name) is getattr(cls, op)
 
 
 class TestTsd:

@@ -11,8 +11,9 @@ import warnings
 
 import pytest
 
+import repro.sync
 from repro.errors import SyncError
-from repro.sync import CondVar, Mutex, RwLock, Semaphore
+from repro.sync import CondVar, Mutex, RW_READER, RwLock, Semaphore
 from repro.sync import guards
 
 
@@ -126,3 +127,51 @@ class TestEnabled:
         guard.reset()
         assert guard.violations() == []
         guard.check()
+
+
+#: The generator names of Figure 4's procedural interface (every
+#: lower-case export of repro.sync but the *_init constructors).
+FIGURE4_GENERATORS = sorted(
+    name for name in repro.sync.__all__
+    if name.islower() and not name.endswith("_init"))
+
+#: Arguments that build a call of each of them.
+FIGURE4_ARGS = {
+    "mutex_enter": lambda: (Mutex(name="m"),),
+    "mutex_exit": lambda: (Mutex(name="m"),),
+    "mutex_tryenter": lambda: (Mutex(name="m"),),
+    "cv_wait": lambda: (CondVar(name="cv"), Mutex(name="m")),
+    "cv_timedwait": lambda: (CondVar(name="cv"), Mutex(name="m"), 1_000),
+    "cv_signal": lambda: (CondVar(name="cv"),),
+    "cv_broadcast": lambda: (CondVar(name="cv"),),
+    "sema_p": lambda: (Semaphore(1, name="s"),),
+    "sema_v": lambda: (Semaphore(1, name="s"),),
+    "sema_tryp": lambda: (Semaphore(1, name="s"),),
+    "rw_enter": lambda: (RwLock(name="rw"), RW_READER),
+    "rw_exit": lambda: (RwLock(name="rw"),),
+    "rw_tryenter": lambda: (RwLock(name="rw"), RW_READER),
+    "rw_downgrade": lambda: (RwLock(name="rw"),),
+    "rw_tryupgrade": lambda: (RwLock(name="rw"),),
+}
+
+
+class TestFigure4Names:
+    @pytest.mark.parametrize("name", FIGURE4_GENERATORS)
+    def test_undriven_call_is_a_violation(self, guard, name):
+        """The C names are the guarded methods, so dropping one undriven
+        is caught exactly like dropping ``m.enter()``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            gen = getattr(repro.sync, name)(*FIGURE4_ARGS[name]())
+            del gen
+            _collect()
+        assert len(guard.violations()) == 1, name
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in repro.sync.__all__ if name.islower()))
+    def test_name_is_the_constructor_or_method_it_names(self, name):
+        kind, _, op = name.partition("_")
+        cls = {"mutex": Mutex, "cv": CondVar, "sema": Semaphore,
+               "rw": RwLock}[kind]
+        assert getattr(repro.sync, name) is (
+            cls if op == "init" else getattr(cls, op))

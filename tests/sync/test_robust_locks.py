@@ -20,7 +20,7 @@ from repro.hw.isa import GetContext
 from repro.runtime import libc, unistd
 from repro.sim.clock import usec
 from repro.sync import (CondVar, Mutex, RW_READER, RW_WRITER, RwLock,
-                        cv_wait)
+                        cv_wait, rw_enter)
 from tests.conftest import run_program
 
 
@@ -160,14 +160,20 @@ class TestRobustCondWait:
 
 
 class TestRobustRwLock:
-    def test_dead_writer_surfaces_eownerdead(self):
+    @pytest.mark.parametrize("call", ["enter", "rw_enter"])
+    def test_dead_writer_surfaces_eownerdead(self, call):
+        """The method and the Figure 4 name both hand the next writer
+        the EOWNERDEAD it must repair before releasing."""
         observed = {}
         rw = RwLock(name="robust-rw")
         start = _crash_holding(lambda: rw.enter(RW_WRITER), observed)
 
         def main():
             yield from start()
-            observed["first"] = yield from rw.enter(RW_WRITER)
+            if call == "rw_enter":
+                observed["first"] = yield from rw_enter(rw, RW_WRITER)
+            else:
+                observed["first"] = yield from rw.enter(RW_WRITER)
             observed["repair"] = rw.consistent()
             yield from rw.exit()
             observed["second"] = yield from rw.enter(RW_READER)
@@ -197,3 +203,52 @@ class TestRobustRwLock:
         assert observed["acquire"] is None
         assert not rw.owner_dead
         assert observed["victim"] not in rw.reader_holders
+
+    def test_tryenter_surfaces_eownerdead(self):
+        """tryenter follows the robust protocol as enter does: the
+        owner-dead lock comes back as a truthy EOWNERDEAD, and after
+        consistent() later acquires are clean."""
+        observed = {}
+        rw = RwLock(name="try-rw")
+        start = _crash_holding(lambda: rw.enter(RW_WRITER), observed)
+
+        def main():
+            yield from start()
+            observed["first"] = yield from rw.tryenter(RW_WRITER)
+            observed["repair"] = rw.consistent()
+            yield from rw.exit()
+            observed["second"] = yield from rw.tryenter(RW_READER)
+            yield from rw.exit()
+            yield from unistd.exit(0)
+
+        run_program(main, ncpus=2)
+        assert observed["first"] is Errno.EOWNERDEAD
+        assert observed["repair"] == 0
+        assert observed["second"] is True
+        assert not rw.owner_dead and not rw.unrecoverable
+
+    def test_tryenter_on_bricked_lock_raises(self):
+        """Released without consistent() after a tryenter, the lock
+        bricks, and tryenter then raises ENOTRECOVERABLE as enter does
+        (the Mutex.tryenter contract)."""
+        observed = {}
+        rw = RwLock(name="try-bricked-rw")
+        start = _crash_holding(lambda: rw.enter(RW_WRITER), observed)
+
+        def main():
+            yield from start()
+            observed["first"] = yield from rw.tryenter(RW_WRITER)
+            yield from rw.exit()                   # no consistent(): brick
+            for name, acquire in (("enter", rw.enter),
+                                  ("tryenter", rw.tryenter)):
+                try:
+                    observed[name] = yield from acquire(RW_READER)
+                except SyscallError as err:
+                    observed[name] = err.errno
+            yield from unistd.exit(0)
+
+        run_program(main, ncpus=2)
+        assert observed["first"] is Errno.EOWNERDEAD
+        assert rw.unrecoverable and not rw.owner_dead
+        assert observed["enter"] is Errno.ENOTRECOVERABLE
+        assert observed["tryenter"] is Errno.ENOTRECOVERABLE

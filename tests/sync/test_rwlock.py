@@ -1,19 +1,36 @@
 """Tests for readers/writer locks: sharing, exclusion, downgrade,
-tryupgrade, writer preference."""
+tryupgrade, writer preference.
+
+Every test runs against both variants: each class below builds a private
+lock, and its ``...Shared`` subclass at the end of the file reruns it on
+a process-shared lock whose cells live in a mapped file.
+"""
 
 import pytest
 
 from repro.errors import SyncError
-from repro.runtime import unistd
-from repro.sync import RW_READER, RW_WRITER, RwLock
+from repro.runtime import mapped
+from repro.sync import RW_READER, RW_WRITER, RwLock, THREAD_SYNC_SHARED
 from repro import threads
 from tests.conftest import run_program
 
 
+def new_rwlock(shared: bool):
+    """Generator: a fresh lock of the chosen variant (the shared one over
+    four cells of a mapped file, as in test_shared_sync.py)."""
+    if not shared:
+        return RwLock()
+    region = yield from mapped.map_shared_file("/tmp/rwlock", 4096)
+    return RwLock(THREAD_SYNC_SHARED,
+                  cells=tuple(region.cell(off) for off in (0, 8, 16, 24)))
+
+
 class TestBasics:
+    shared = False
+
     def test_multiple_readers_share(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_READER)
 
             def reader(_):
@@ -30,7 +47,7 @@ class TestBasics:
 
     def test_writer_excludes_readers(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_WRITER)
 
             def reader(_):
@@ -46,7 +63,7 @@ class TestBasics:
 
     def test_writer_excludes_writers(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_WRITER)
 
             def other(_):
@@ -62,7 +79,7 @@ class TestBasics:
 
     def test_readers_exclude_writer(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_READER)
 
             def writer(_):
@@ -78,7 +95,7 @@ class TestBasics:
 
     def test_exit_without_hold_raises(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             with pytest.raises(SyncError):
                 yield from rw.exit()
 
@@ -93,7 +110,7 @@ class TestBasics:
             yield from rw.exit()
 
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_READER)
             tid = yield from threads.thread_create(
                 writer, rw, flags=threads.THREAD_WAIT)
@@ -107,6 +124,8 @@ class TestBasics:
 
 
 class TestWriterPreference:
+    shared = False
+
     def test_new_readers_queue_behind_waiting_writer(self):
         order = []
 
@@ -121,7 +140,7 @@ class TestWriterPreference:
             yield from rw.exit()
 
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_READER)
             w = yield from threads.thread_create(
                 writer, rw, flags=threads.THREAD_WAIT)
@@ -138,9 +157,11 @@ class TestWriterPreference:
 
 
 class TestDowngradeUpgrade:
+    shared = False
+
     def test_downgrade_keeps_read_access(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_WRITER)
             yield from rw.downgrade()
             assert rw.state == "readers:1"
@@ -159,7 +180,7 @@ class TestDowngradeUpgrade:
 
     def test_downgrade_by_non_writer_raises(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_READER)
             with pytest.raises(SyncError):
                 yield from rw.downgrade()
@@ -178,7 +199,7 @@ class TestDowngradeUpgrade:
             yield from rw.exit()
 
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_WRITER)
             tid = yield from threads.thread_create(
                 reader, rw, flags=threads.THREAD_WAIT)
@@ -192,7 +213,7 @@ class TestDowngradeUpgrade:
 
     def test_tryupgrade_sole_reader_succeeds(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_READER)
             ok = yield from rw.tryupgrade()
             assert ok
@@ -203,7 +224,7 @@ class TestDowngradeUpgrade:
 
     def test_tryupgrade_fails_with_other_readers(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_READER)
 
             def second(_):
@@ -225,7 +246,7 @@ class TestDowngradeUpgrade:
             yield from rw.exit()
 
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_READER)
             tid = yield from threads.thread_create(
                 writer, rw, flags=threads.THREAD_WAIT)
@@ -239,7 +260,7 @@ class TestDowngradeUpgrade:
 
     def test_tryupgrade_without_read_lock_raises(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             with pytest.raises(SyncError):
                 yield from rw.tryupgrade()
 
@@ -247,6 +268,8 @@ class TestDowngradeUpgrade:
 
 
 class TestSearchHeavyWorkload:
+    shared = False
+
     def test_readers_overlap_writers_serialize(self):
         """A search-mostly object: many readers proceed together; writes
         serialize.  The counters prove both."""
@@ -272,7 +295,7 @@ class TestSearchHeavyWorkload:
                 yield from threads.thread_yield()
 
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             tids = []
             for _ in range(3):
                 tid = yield from threads.thread_create(
@@ -290,7 +313,7 @@ class TestSearchHeavyWorkload:
 
     def test_acquire_statistics(self):
         def main():
-            rw = RwLock()
+            rw = yield from new_rwlock(self.shared)
             yield from rw.enter(RW_READER)
             yield from rw.exit()
             yield from rw.enter(RW_WRITER)
@@ -299,3 +322,19 @@ class TestSearchHeavyWorkload:
             assert rw.write_acquires == 1
 
         run_program(main)
+
+
+class TestBasicsShared(TestBasics):
+    shared = True
+
+
+class TestWriterPreferenceShared(TestWriterPreference):
+    shared = True
+
+
+class TestDowngradeUpgradeShared(TestDowngradeUpgrade):
+    shared = True
+
+
+class TestSearchHeavyWorkloadShared(TestSearchHeavyWorkload):
+    shared = True
