@@ -78,7 +78,7 @@ class SyscallError(ReproError):
     """
 
     def __init__(self, errno: Errno, call: str = "", message: str = ""):
-        self.errno = Errno(errno)
+        self.errno = errno if errno.__class__ is Errno else Errno(errno)
         self.call = call
         detail = message or self.errno.name
         super().__init__(f"{call or 'syscall'}: {detail}")

@@ -31,11 +31,18 @@ they obey the hot-path rules of ARCHITECTURE §10:
   the engine's front slot; the engine runs it in place when nothing
   queued sorts first, and otherwise (or outside ``run()``) it becomes an
   ordinary ``Event`` with the same key (:mod:`repro.sim.engine`).
-* ``Charge`` and ``GetContext``, the most frequent effects, are handled
-  inline in ``_step`` (matched by exact type).  The rest dispatch through a
-  *type-keyed table* (``_DISPATCH``), one dict lookup on
-  ``type(effect)`` instead of an isinstance chain; their subclasses
-  resolve through the MRO once and are cached.
+* ``Charge``, ``GetContext`` and ``Syscall``, the most frequent effects,
+  are handled inline in ``_step`` (matched by exact type), and so is the
+  common kernel-to-user return: a kernel frame, not an injected signal
+  handler, returning to the user frame below it.  A trap makes one
+  kernel call (``Kernel.trap``) and a return one
+  (``Kernel.kernel_exit_check``), besides the LWP's time accounting.
+  The other effects dispatch through a *type-keyed table*
+  (``_DISPATCH``), one dict lookup on ``type(effect)`` instead of an
+  isinstance chain; their subclasses resolve through the MRO once and
+  are cached.  ``_enter_kernel`` and ``_frame_returned`` are the generic
+  trap and return, for subclasses, signal-handler frames and bottom
+  frames; the inline paths do exactly what they do.
 * Each dispatch builds one :class:`ExecContext`, shared by every
   GetContext, kernel entry and kernel exit until the LWP leaves the CPU.
 * Trace emission is gated on the tracer's per-category flags before any
@@ -52,11 +59,13 @@ from typing import Any, Optional
 from repro.errors import (Errno, InterruptedSleep, SimulationError,
                           SyscallError)
 from repro.hw import isa
-from repro.hw.context import Activity, Mode
+from repro.hw.context import Activity, Frame, Mode
+from repro.hw.memory import page_of
 from repro.obs.registry import MetricKeys
 from repro.sim.events import Event
 
 _KERNEL = Mode.KERNEL
+_USER = Mode.USER
 
 
 class ExecContext:
@@ -68,32 +77,20 @@ class ExecContext:
     LWP and process structures.
     """
 
-    __slots__ = ("cpu", "lwp")
+    __slots__ = ("cpu", "lwp", "engine", "kernel", "process", "costs")
 
     def __init__(self, cpu: "CPU", lwp):
         self.cpu = cpu
         self.lwp = lwp
-
-    @property
-    def engine(self):
-        return self.cpu.engine
-
-    @property
-    def kernel(self):
-        return self.cpu.kernel
-
-    @property
-    def process(self):
-        return self.lwp.process
+        self.engine = cpu.engine
+        self.kernel = cpu.kernel
+        self.process = lwp.process
+        self.costs = cpu.costs
 
     @property
     def thread(self):
         """The user thread currently on this LWP (None in pure-LWP code)."""
         return self.lwp.current_thread
-
-    @property
-    def costs(self):
-        return self.cpu.costs
 
     def __repr__(self) -> str:
         return f"<ExecContext cpu={self.cpu.index} lwp={self.lwp!r}>"
@@ -119,10 +116,9 @@ class CPU:
         self.parked_seq = 0
         self._step_tag = f"cpu-{index}.step"
         # Hot-path caches: a step is (re)scheduled once per effect, so
-        # the queue, clock, and the bound _step (the engine runs a parked
-        # step as ``step()``) are resolved here rather than per call.
+        # the queue and the bound _step (the engine runs a parked step as
+        # ``step()``) are resolved here rather than per call.
         self._queue = engine.queue
-        self._clock = engine.clock
         self.step = self._step
         self._charge_end_ns: Optional[int] = None
         # Virtual time the current LWP was assigned.  Feeds both the
@@ -242,7 +238,7 @@ class CPU:
         seq = q._seq
         q._seq = seq + 1
         engine.parked = self
-        self.parked_ns = self._clock.now_ns + delay_ns
+        self.parked_ns = engine.now_ns + delay_ns
         self.parked_seq = seq
         if not engine._running:
             self.unpark()
@@ -315,7 +311,33 @@ class CPU:
                     activity.resume_value = None
                     effect = frame.gen.send(value)
             except StopIteration as stop:
-                self._frame_returned(lwp, activity, stop.value)
+                if (frame.mode is _KERNEL and frame.saved_resume is None
+                        and len(frames) > 1 and frames[-2].mode is _USER):
+                    # Kernel-to-user return (a syscall or fault handler
+                    # finished): _frame_returned's common case, inline.
+                    frames.pop()
+                    value = stop.value
+                    activity.resume_value = value
+                    activity.resume_exc = None
+                    if self.tracer.want_syscall:
+                        self.tracer.emit(
+                            engine.now_ns, "syscall", "exit", lwp.name,
+                            call=frame.label, ret=_brief(value))
+                    m = engine.metrics
+                    if m is not None and frame.enter_ns is not None:
+                        m.observe(_LATENCY_KEYS[frame.label],
+                                  engine.now_ns - frame.enter_ns)
+                    ns = self.costs.syscall_exit
+                    self.kernel_ns += ns
+                    if self.lwp is not None:
+                        self.lwp.account(ns, True)
+                    ctx = self.ctx
+                    if ctx is None or ctx.lwp is not lwp:
+                        ctx = ExecContext(self, lwp)
+                    self.kernel.kernel_exit_check(ctx)
+                    self._schedule_step(ns)
+                else:
+                    self._frame_returned(lwp, activity, stop.value)
                 return
             except (SyscallError, InterruptedSleep) as exc:
                 self._frame_raised(lwp, activity, exc)
@@ -330,6 +352,29 @@ class CPU:
                     activity.resume_value = self._context(lwp)
                     activity.resume_exc = None
                     self._schedule_step(0)
+                    return
+                if cls is _Syscall:
+                    # Trap: _enter_kernel, inline.
+                    name = effect.name
+                    if self.tracer.want_syscall:
+                        self.tracer.emit(engine.now_ns, "syscall", "enter",
+                                         lwp.name, call=name)
+                    ctx = self.ctx
+                    if ctx is None or ctx.lwp is not lwp:
+                        ctx = ExecContext(self, lwp)
+                    frame = Frame(self.kernel.trap(ctx, name, effect.args,
+                                                   effect.kwargs),
+                                  _KERNEL, _SYS_LABELS[name])
+                    if engine.metrics is not None:
+                        frame.enter_ns = engine.now_ns
+                    frames.append(frame)
+                    activity.resume_value = None
+                    activity.resume_exc = None
+                    ns = self.costs.syscall_entry
+                    self.kernel_ns += ns
+                    if self.lwp is not None:
+                        self.lwp.account(ns, True)
+                    self._schedule_step(ns)
                     return
                 handler = _DISPATCH.get(cls)
                 if handler is None:
@@ -351,7 +396,7 @@ class CPU:
             if self.lwp is not None:
                 self.lwp.account(ns, False)
             if ns > 0:
-                self._charge_end_ns = self._clock.now_ns + ns
+                self._charge_end_ns = self.engine.now_ns + ns
         self._schedule_step(ns)
 
     def _context(self, lwp) -> ExecContext:
@@ -384,8 +429,7 @@ class CPU:
         if self.tracer.want_syscall:
             self.tracer.emit(self.engine.now_ns, "syscall", "enter",
                              lwp.name, call=name)
-        self.kernel.note_syscall(lwp, name)
-        handler = self.kernel.syscall_handler(
+        handler = self.kernel.trap(
             self._context(lwp), name, effect.args, effect.kwargs)
         activity.push(handler, Mode.KERNEL, label=_SYS_LABELS[name])
         if self.engine.metrics is not None:
@@ -409,7 +453,6 @@ class CPU:
         self._schedule_step(self.costs.thread_switch_user)
 
     def _touch(self, lwp, activity: Activity, effect: "isa.Touch") -> None:
-        from repro.hw.memory import page_of
         pageno = page_of(effect.offset)
         if effect.mobj.is_resident(pageno):
             activity.set_resume(None)
@@ -522,9 +565,7 @@ class CPU:
                         m.observe(_LATENCY_KEYS[frame.label],
                                   self.engine.now_ns - frame.enter_ns)
                     if isinstance(exc, SyscallError):
-                        call = frame.label[4:] if frame.label.startswith(
-                            "sys_") else frame.label
-                        m.count(f"syscall.errno.{call}.{exc.errno.name}")
+                        m.count(_ERRNO_KEYS[frame.label, exc.errno])
                 self._exit_kernel(lwp)
             else:
                 self._schedule_step(0)
@@ -574,10 +615,12 @@ class CPU:
 
 _Charge = isa.Charge
 _GetContext = isa.GetContext
+_Syscall = isa.Syscall
 
-#: The type-keyed effect dispatch table for every effect but Charge and
-#: GetContext (which _step handles inline): effect class -> unbound CPU
+#: The type-keyed effect dispatch table: effect class -> unbound CPU
 #: method.  Shared by all CPUs; exact-type hits are one dict lookup.
+#: _step handles exact Charge, GetContext and Syscall inline; the
+#: Syscall entry serves its subclasses.
 _DISPATCH = {
     isa.Syscall: CPU._enter_kernel,
     isa.SwitchTo: CPU._switch_thread,
@@ -614,8 +657,16 @@ def _latency_key(frame_label: str) -> str:
     return f"kernel.latency_ns.{frame_label}"
 
 
+def _errno_key(label_errno: tuple) -> str:
+    """Metric name counting one errno of one kernel frame's call."""
+    label, errno = label_errno
+    call = label[4:] if label.startswith("sys_") else label
+    return f"syscall.errno.{call}.{errno.name}"
+
+
 #: Per-name strings of the step path, each built once.
 _SYS_LABELS = MetricKeys("sys_{}".format)
 _LATENCY_KEYS = MetricKeys(_latency_key)
+_ERRNO_KEYS = MetricKeys(_errno_key)
 _ONCPU_BY_CLASS = MetricKeys("sched.oncpu_ns.{}".format)
 _ONCPU_BY_LWP = MetricKeys("sched.oncpu_ns_by_lwp.{}".format)

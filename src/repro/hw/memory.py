@@ -44,11 +44,9 @@ class MemoryObject:
             non-resident page takes a (simulated) page fault.
     """
 
-    _counter = 0
-
-    def __init__(self, nbytes: int, name: str = "", resident: bool = False):
-        MemoryObject._counter += 1
-        self.name = name or f"anon#{MemoryObject._counter}"
+    def __init__(self, nbytes: int, name: str = "anon",
+                 resident: bool = False):
+        self.name = name
         self.nbytes = nbytes
         self.cells: dict[int, Any] = {}
         self.data = bytearray(nbytes)

@@ -20,13 +20,15 @@ from repro.hw.memory import MemoryObject, PhysicalMemory
 
 
 class Inode:
-    """Base class for all file system objects."""
+    """Base class for all file system objects.
 
-    _counter = 0
+    ``ino`` stays 0 until the :class:`Vfs` the inode belongs to numbers
+    it (:meth:`Vfs.numbered`), so inode numbers count per kernel and a
+    simulation sees the same numbers whatever ran before it.
+    """
 
     def __init__(self, name: str):
-        Inode._counter += 1
-        self.ino = Inode._counter
+        self.ino = 0
         self.name = name
         self.nlink = 1
         self.mode = 0o644
@@ -162,17 +164,25 @@ class Vfs:
 
     def __init__(self, memory: PhysicalMemory):
         self.memory = memory
-        self.root = Directory("/")
-        dev = Directory("dev")
+        self._last_ino = 0
+        self.root = self.numbered(Directory("/"))
+        dev = self.numbered(Directory("dev"))
         self.root.add("dev", dev)
-        self.root.add("tmp", Directory("tmp"))
-        dev.add("tty", TtyDevice("tty"))
-        dev.add("null", NullDevice("null"))
+        self.root.add("tmp", self.numbered(Directory("tmp")))
+        dev.add("tty", self.numbered(TtyDevice("tty")))
+        dev.add("null", self.numbered(NullDevice("null")))
+
+    def numbered(self, inode: Inode) -> Inode:
+        """Give ``inode`` this file system's next inode number (every
+        inode the kernel creates, sockets and pipes too); returns it."""
+        self._last_ino += 1
+        inode.ino = self._last_ino
+        return inode
 
     def mount_proc(self, kernel_ref) -> None:
         """Mount /proc; ``kernel_ref`` is a zero-arg callable -> Kernel."""
         if "proc" not in self.root.entries:
-            self.root.add("proc", ProcDirectory(kernel_ref))
+            self.root.add("proc", self.numbered(ProcDirectory(kernel_ref)))
 
     # ------------------------------------------------------------ lookup
 
@@ -224,7 +234,7 @@ class Vfs:
             if isinstance(existing, RegularFile):
                 return existing
             raise SyscallError(Errno.EEXIST, "creat", path)
-        node = RegularFile(leaf, self.memory)
+        node = self.numbered(RegularFile(leaf, self.memory))
         parent.add(leaf, node)
         return node
 
@@ -232,7 +242,7 @@ class Vfs:
         parent, leaf = self.parent_and_leaf(path, cwd)
         if parent.lookup(leaf) is not None:
             raise SyscallError(Errno.EEXIST, "mkdir", path)
-        node = Directory(leaf)
+        node = self.numbered(Directory(leaf))
         parent.add(leaf, node)
         return node
 
@@ -240,7 +250,7 @@ class Vfs:
         parent, leaf = self.parent_and_leaf(path, cwd)
         if parent.lookup(leaf) is not None:
             raise SyscallError(Errno.EEXIST, "mkfifo", path)
-        node = Fifo(leaf)
+        node = self.numbered(Fifo(leaf))
         parent.add(leaf, node)
         return node
 
@@ -306,12 +316,13 @@ class ProcDirectory(Directory):
             return None
         from repro.kernel.fs import procfs
 
+        numbered = kernel.vfs.numbered
         if name == "metrics":
             # Machine-wide metrics registry snapshot (text export);
             # renders a one-line notice when metrics are disabled.
-            return ProcNode(
+            return numbered(ProcNode(
                 "metrics",
-                lambda: procfs.metrics_text(kernel).encode())
+                lambda: procfs.metrics_text(kernel).encode()))
         try:
             pid = int(name)
         except ValueError:
@@ -320,19 +331,19 @@ class ProcDirectory(Directory):
         if proc is None:
             return None
 
-        pid_dir = Directory(name)
-        pid_dir.add("status", ProcNode(
+        pid_dir = numbered(Directory(name))
+        pid_dir.add("status", numbered(ProcNode(
             "status",
-            lambda: procfs.status_text(proc).encode()))
-        pid_dir.add("stat", ProcNode(
+            lambda: procfs.status_text(proc).encode())))
+        pid_dir.add("stat", numbered(ProcNode(
             "stat",
-            lambda: procfs.stat_text(proc).encode()))
-        pid_dir.add("lwps", ProcNode(
+            lambda: procfs.stat_text(proc).encode())))
+        pid_dir.add("lwps", numbered(ProcNode(
             "lwps",
             lambda: "\n".join(
                 f"{l.lwp_id} {l.state.value} {l.sched_class.value} "
                 f"{l.priority}"
-                for l in proc.live_lwps()).encode() + b"\n"))
+                for l in proc.live_lwps()).encode() + b"\n")))
         return pid_dir
 
     @property

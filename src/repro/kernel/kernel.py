@@ -23,8 +23,9 @@ from repro.hw.cpu import ExecContext
 from repro.hw import isa
 from repro.hw.isa import WaitChannel
 from repro.hw.machine import Machine
-from repro.kernel.fs.vfs import Vfs
+from repro.kernel.fs.vfs import Fifo, Vfs
 from repro.kernel.lwp import Lwp, LwpState, SchedClass
+from repro.kernel.net import Network, Socket
 from repro.kernel.process import ProcState, Process
 from repro.kernel.sched.dispatcher import Dispatcher
 from repro.kernel.signals import Disposition, Sig
@@ -54,7 +55,6 @@ class Kernel:
         self._shared_channels: dict[int, WaitChannel] = {}
         # The machine's network layer: port namespace, listen queues,
         # connection pairing (repro.kernel.net).
-        from repro.kernel.net import Network
         self.net = Network(self)
         # Active fault-injection plan (repro.sim.faults.FaultPlan); set
         # by FaultPlan.attach().  Consulted once per trapped syscall.
@@ -188,9 +188,16 @@ class Kernel:
 
     # ------------------------------------------------------------ syscalls
 
-    def syscall_handler(self, ctx: ExecContext, name: str,
-                        args: tuple, kwargs: dict):
-        """Build the handler generator for a trapped system call."""
+    def trap(self, ctx: ExecContext, name: str, args: tuple,
+             kwargs: dict):
+        """Enter system call ``name``: count it, then build the handler
+        generator the CPU pushes as the kernel frame (a fault-plan
+        failure or ENOSYS when the call does not run).  The CPU's one
+        kernel call per trap."""
+        self.syscall_counts[name] += 1
+        m = self.engine.metrics
+        if m is not None:
+            m.count(_SYSCALL_COUNT_KEYS[name])
         if self.faults is not None:
             errno = self.faults.syscall_errno(name)
             if errno is not None:
@@ -200,7 +207,7 @@ class Kernel:
             return self._enosys(name)
         # Handlers are generator functions by registry contract, so the
         # call builds a suspended generator directly — nothing executes
-        # until the entry charge elapses, same as the old trampoline.
+        # until the entry charge elapses.
         return handler(ctx, *args, **kwargs)
 
     def _injected_failure(self, name: str, errno: Errno):
@@ -212,8 +219,7 @@ class Kernel:
             m.count(f"faults.injected.{name}.{errno.name}")
 
         def handler():
-            from repro.hw.isa import Charge
-            yield Charge(self.costs.syscall_service_trivial)
+            yield isa.charge(self.costs.syscall_service_trivial)
             raise SyscallError(errno, name, f"injected {errno.name}")
         return handler()
 
@@ -221,12 +227,6 @@ class Kernel:
     def _enosys(name: str):
         raise SyscallError(Errno.ENOSYS, name, "no such system call")
         yield  # pragma: no cover
-
-    def note_syscall(self, lwp: Lwp, name: str) -> None:
-        self.syscall_counts[name] += 1
-        m = self.engine.metrics
-        if m is not None:
-            m.count(_SYSCALL_COUNT_KEYS[name])
 
     # ------------------------------------------------------ block / wakeup
 
@@ -545,8 +545,8 @@ class Kernel:
         lwp = ctx.lwp
         proc = lwp.process
         # Fast bail: no pending signals anywhere (the common case — this
-        # runs at every syscall exit).
-        if not lwp.pending and not proc.signals.pending:
+        # runs at every syscall exit), read off the two sets' bits.
+        if not (lwp.pending._bits or proc.signals.pending._bits):
             return
         if proc.state is not ProcState.ACTIVE or lwp.exited:
             return
@@ -792,8 +792,6 @@ class Kernel:
         descriptors): when a FIFO's last writer or reader goes away, the
         blocked peers must learn about it.
         """
-        from repro.kernel.fs.vfs import Fifo
-        from repro.kernel.net import Socket
         if of.unref() > 0:
             return
         inode = of.inode
@@ -828,13 +826,13 @@ class Kernel:
                            write: bool):
         """Kernel frame servicing a page fault on the faulting LWP only."""
         def handler():
-            yield from _charge(self.costs.page_fault_service)
+            yield isa.charge(self.costs.page_fault_service)
             if mobj.nbytes > 0 and pageno * 4096 >= mobj.nbytes + 4096:
                 raise SyscallError(Errno.EFAULT, "pagefault",
                                    f"page {pageno} beyond {mobj.name}")
             # File-backed, never-written pages come from "disk".
             if mobj.name.startswith("file:"):
-                yield from _charge(self.costs.page_fault_disk)
+                yield isa.charge(self.costs.page_fault_disk)
             mobj.make_resident(pageno)
             return None
         return handler()
@@ -854,12 +852,6 @@ class Kernel:
 
 #: ``syscall.count.<name>``, built once per call name.
 _SYSCALL_COUNT_KEYS = MetricKeys("syscall.count.{}".format)
-
-
-def _charge(ns: int):
-    """Tiny helper for kernel generators: yield a Charge effect."""
-    from repro.hw.isa import Charge
-    yield Charge(ns)
 
 
 def build_kernel(machine: Machine) -> Kernel:

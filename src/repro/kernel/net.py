@@ -174,7 +174,8 @@ class Network:
 
     def create_socket(self, pid: int) -> Socket:
         self._next_sock += 1
-        return Socket(f"sock:{pid}.{self._next_sock}", owner_pid=pid)
+        return self.kernel.vfs.numbered(
+            Socket(f"sock:{pid}.{self._next_sock}", owner_pid=pid))
 
     def _register(self, chan: WaitChannel, sock: Socket) -> WaitChannel:
         self.by_channel[id(chan)] = sock
@@ -283,8 +284,9 @@ class Network:
             raise SyscallError(Errno.ECONNREFUSED, "connect",
                                f"port {port}: backlog full")
         self._next_conn += 1
-        server = Socket(f"sock:{port}#c{self._next_conn}",
-                        owner_pid=listener.owner_pid)
+        server = self.kernel.vfs.numbered(
+            Socket(f"sock:{port}#c{self._next_conn}",
+                   owner_pid=listener.owner_pid))
         self._establish(client, server)
         listener.backlog.append(server)
         self.kernel.wakeup_one(listener.accept_channel)
@@ -320,7 +322,7 @@ class Network:
     def _wake_all(self, sock: Socket) -> None:
         for chan in (sock.read_channel, sock.space_channel,
                      sock.accept_channel):
-            if chan is not None:
+            if chan is not None and chan.waiters:
                 self.kernel.wakeup_all(chan)
 
     def close_socket(self, sock: Socket) -> None:

@@ -292,6 +292,9 @@ class _OrderedListPolicy(SchedPolicy):
     def queued(self) -> list:
         return list(self._queue)
 
+    def __len__(self) -> int:
+        return len(self._queue)
+
 
 class CfsPolicy(_OrderedListPolicy):
     """Completely-fair-ish scheduling: least virtual runtime first.
@@ -434,6 +437,9 @@ class MlfqPolicy(SchedPolicy):
             out.extend(q)
         return out
 
+    def __len__(self) -> int:
+        return sum(map(len, self._levels))
+
     def quantum_ns(self, lwp, base_quantum_ns):
         # Longer quanta at lower levels (fewer, bigger turns for hogs).
         if lwp.sched_state is None:
@@ -534,6 +540,10 @@ class HrrPolicy(SchedPolicy):
         for gid in self._rr:
             out.extend(self._groups[gid])
         return out
+
+    def __len__(self) -> int:
+        # Emptied groups are dropped, so every group here is queued.
+        return sum(map(len, self._groups.values()))
 
 
 class SchedClassTable:
@@ -638,7 +648,7 @@ class SchedClassTable:
         return best
 
     def __len__(self) -> int:
-        return sum(len(pol) for pol in self.ordered)
+        return sum(map(len, self.ordered))
 
     def __contains__(self, lwp) -> bool:
         return any(lwp in pol for pol in self.ordered)

@@ -9,19 +9,20 @@ between threads.
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Block, Charge
+from repro.hw.isa import Block, Charge, charge
 from repro.kernel.fs.file import (O_APPEND, O_CREAT, O_NONBLOCK, O_RDONLY,
                                   O_RDWR, O_TRUNC, O_WRONLY, SEEK_CUR,
                                   SEEK_END, SEEK_SET, OpenFile)
 from repro.kernel.fs.vfs import (Directory, Fifo, NullDevice, ProcNode,
                                  RegularFile, TtyDevice)
+from repro.kernel.signals import Sig
 from repro.kernel.syscalls import syscall
 
 
 @syscall("open")
 def sys_open(ctx, path: str, flags: int = 0):
     """Open (optionally creating) a file; returns the descriptor."""
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     vfs = ctx.kernel.vfs
     proc = ctx.process
     if flags & O_CREAT:
@@ -62,7 +63,7 @@ def sys_open(ctx, path: str, flags: int = 0):
 @syscall("close")
 def sys_close(ctx, fd: int):
     """Close a descriptor — for *all* threads in the process at once."""
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     of = ctx.process.fdtable.close(fd)
     ctx.kernel.release_open_file(of)
     return 0
@@ -80,7 +81,7 @@ def sys_read(ctx, fd: int, length: int):
     if not of.readable:
         raise SyscallError(Errno.EBADF, "read", f"fd {fd} not readable")
     inode = of.inode
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
 
     if isinstance(inode, RegularFile):
         # Fault in pages that have never been touched.
@@ -90,7 +91,7 @@ def sys_read(ctx, fd: int, length: int):
         faulted = any(not inode.mobj.is_resident(p)
                       for p in range(start_page, end_page + 1))
         if faulted:
-            yield Charge(ctx.costs.disk_latency)
+            yield charge(ctx.costs.disk_latency)
             for p in range(start_page, end_page + 1):
                 inode.mobj.make_resident(p)
         data = inode.read_at(of.offset, length)
@@ -143,13 +144,12 @@ def sys_write(ctx, fd: int, data: bytes):
     if not of.writable:
         raise SyscallError(Errno.EBADF, "write", f"fd {fd} not writable")
     inode = of.inode
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
 
     if isinstance(inode, RegularFile):
         limit = ctx.process.rlimits.fsize_bytes
         offset = inode.size() if of.flags & O_APPEND else of.offset
         if limit is not None and offset + len(data) > limit:
-            from repro.kernel.signals import Sig
             kernel.post_signal(ctx.process, Sig.SIGXFSZ,
                                target_lwp=ctx.lwp)
             raise SyscallError(Errno.ENOSPC, "write", "file size limit")
@@ -165,7 +165,6 @@ def sys_write(ctx, fd: int, data: bytes):
 
     if isinstance(inode, Fifo):
         if inode.readers == 0:
-            from repro.kernel.signals import Sig
             kernel.post_signal(ctx.process, Sig.SIGPIPE,
                                target_lwp=ctx.lwp)
             raise SyscallError(Errno.EPIPE, "write")
@@ -200,9 +199,9 @@ def sys_pipe(ctx):
     Backed by an unnamed FIFO inode — same buffering, blocking, EOF, and
     EPIPE semantics, but with no name in the file system.
     """
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     proc = ctx.process
-    inode = Fifo(f"pipe:{proc.pid}")
+    inode = ctx.kernel.vfs.numbered(Fifo(f"pipe:{proc.pid}"))
     rof = OpenFile(inode, O_RDONLY)
     wof = OpenFile(inode, O_WRONLY)
     inode.readers += 1
@@ -217,7 +216,7 @@ def sys_pipe(ctx):
 @syscall("lseek")
 def sys_lseek(ctx, fd: int, offset: int, whence: int = SEEK_SET):
     """Reposition the (shared!) file offset."""
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     of = ctx.process.fdtable.get(fd)
     if isinstance(of.inode, (Fifo, TtyDevice)):
         raise SyscallError(Errno.ESPIPE, "lseek")
@@ -237,33 +236,33 @@ def sys_lseek(ctx, fd: int, offset: int, whence: int = SEEK_SET):
 
 @syscall("dup")
 def sys_dup(ctx, fd: int):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     return ctx.process.fdtable.dup(fd)
 
 
 @syscall("dup2")
 def sys_dup2(ctx, fd: int, target: int):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     return ctx.process.fdtable.dup(fd, at=target)
 
 
 @syscall("unlink")
 def sys_unlink(ctx, path: str):
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     ctx.kernel.vfs.unlink(path, cwd=ctx.process.cwd)
     return 0
 
 
 @syscall("mkdir")
 def sys_mkdir(ctx, path: str):
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     ctx.kernel.vfs.mkdir(path, cwd=ctx.process.cwd)
     return 0
 
 
 @syscall("mkfifo")
 def sys_mkfifo(ctx, path: str):
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     ctx.kernel.vfs.mkfifo(path, cwd=ctx.process.cwd)
     return 0
 
@@ -275,7 +274,7 @@ def sys_chdir(ctx, path: str):
     "If one thread changes the working directory, it is changed for all
     of them."
     """
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     node = ctx.kernel.vfs.lookup(path, cwd=ctx.process.cwd)
     if not isinstance(node, Directory):
         raise SyscallError(Errno.ENOTDIR, "chdir", path)
@@ -286,7 +285,7 @@ def sys_chdir(ctx, path: str):
 @syscall("stat")
 def sys_stat(ctx, path: str):
     """Returns a small dict of file metadata."""
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     node = ctx.kernel.vfs.lookup(path, cwd=ctx.process.cwd)
     return {
         "ino": node.ino,
@@ -299,7 +298,7 @@ def sys_stat(ctx, path: str):
 
 @syscall("ftruncate")
 def sys_ftruncate(ctx, fd: int, length: int):
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     of = ctx.process.fdtable.get(fd)
     if not isinstance(of.inode, RegularFile):
         raise SyscallError(Errno.EINVAL, "ftruncate")
@@ -313,5 +312,5 @@ def sys_fsync(ctx, fd: int):
     of = ctx.process.fdtable.get(fd)
     if not isinstance(of.inode, RegularFile):
         raise SyscallError(Errno.EINVAL, "fsync")
-    yield Charge(ctx.costs.disk_latency)
+    yield charge(ctx.costs.disk_latency)
     return 0

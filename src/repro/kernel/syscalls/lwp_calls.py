@@ -10,7 +10,7 @@ the kernel half of process-shared synchronization sleeps.
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Block, Charge, WaitChannel
+from repro.hw.isa import Block, Charge, WaitChannel, charge
 from repro.kernel.lwp import LwpState, SchedClass, PRIO_MAX, PRIO_MIN
 from repro.kernel.sched.policy import GangGroup
 from repro.kernel.syscalls import syscall
@@ -28,10 +28,10 @@ def sys_lwp_create(ctx, activity, sched_class: SchedClass = None,
     limit = ctx.process.rlimits.max_lwps
     if limit is not None and len(ctx.process.live_lwps()) >= limit:
         # Refused before the expensive allocation work is charged.
-        yield Charge(ctx.costs.syscall_service_trivial)
+        yield charge(ctx.costs.syscall_service_trivial)
         raise SyscallError(Errno.EAGAIN, "lwp_create",
                            f"process LWP limit ({limit}) reached")
-    yield Charge(ctx.costs.lwp_create_service)
+    yield charge(ctx.costs.lwp_create_service)
     lwp = ctx.kernel.create_lwp(
         ctx.process, activity,
         sched_class=sched_class or SchedClass.TIMESHARE,
@@ -47,7 +47,7 @@ def sys_lwp_create(ctx, activity, sched_class: SchedClass = None,
 
 @syscall("lwp_self")
 def sys_lwp_self(ctx):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     return ctx.lwp.lwp_id
 
 
@@ -56,7 +56,7 @@ def sys_lwp_exit(ctx, status: int = 0):
     """Terminate the calling LWP; never returns."""
     kernel = ctx.kernel
     lwp = ctx.lwp
-    yield Charge(ctx.costs.exit_per_lwp)
+    yield charge(ctx.costs.exit_per_lwp)
     lwp.exit_status = status
     lwp.exited = True
     if lwp.gang is not None:
@@ -71,7 +71,7 @@ def sys_lwp_wait(ctx, lwp_id: int = 0):
     ``lwp_id`` of 0 waits for any.
     """
     proc = ctx.process
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     while True:
         if lwp_id:
             target = proc.lwps.get(lwp_id)
@@ -100,7 +100,7 @@ def sys_lwp_park(ctx):
     externally is SIGWAITING-eligible.
     """
     lwp = ctx.lwp
-    yield Charge(ctx.costs.lwp_park_service)
+    yield charge(ctx.costs.lwp_park_service)
     if lwp.park_permit:
         lwp.park_permit = False
         return 0
@@ -116,10 +116,10 @@ def sys_lwp_unpark(ctx, lwp_id: int):
     lwp = ctx.process.lwps.get(lwp_id)
     if lwp is None or lwp.exited:
         raise SyscallError(Errno.ESRCH, "lwp_unpark", f"lwp {lwp_id}")
-    yield Charge(ctx.costs.lwp_unpark_service)
+    yield charge(ctx.costs.lwp_unpark_service)
     if (lwp.state is LwpState.SLEEPING and lwp.park_channel is not None
             and lwp.channel is lwp.park_channel):
-        yield Charge(ctx.costs.kernel_wakeup)
+        yield charge(ctx.costs.kernel_wakeup)
     ctx.kernel.unpark_lwp(lwp)
     return 0
 
@@ -127,7 +127,7 @@ def sys_lwp_unpark(ctx, lwp_id: int):
 @syscall("lwp_suspend")
 def sys_lwp_suspend(ctx, lwp_id: int):
     """Stop an LWP (thread_stop on a bound thread lands here)."""
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     lwp = ctx.process.lwps.get(lwp_id)
     if lwp is None or lwp.exited:
         raise SyscallError(Errno.ESRCH, "lwp_suspend", f"lwp {lwp_id}")
@@ -137,7 +137,7 @@ def sys_lwp_suspend(ctx, lwp_id: int):
 
 @syscall("lwp_continue")
 def sys_lwp_continue(ctx, lwp_id: int):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     lwp = ctx.process.lwps.get(lwp_id)
     if lwp is None or lwp.exited:
         raise SyscallError(Errno.ESRCH, "lwp_continue", f"lwp {lwp_id}")
@@ -161,7 +161,7 @@ def sys_priocntl(ctx, cmd: int, lwp_id: int = 0, arg=None):
 
     ``lwp_id`` 0 targets the calling LWP.
     """
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     proc = ctx.process
     lwp = ctx.lwp if lwp_id == 0 else proc.lwps.get(lwp_id)
     if lwp is None or lwp.exited:
@@ -255,7 +255,7 @@ def sys_usync_block(ctx, mobj, offset: int, expected,
     when the expected-value check declined the sleep, and 2 when the
     optional ``timeout_ns`` expired first.
     """
-    yield Charge(ctx.costs.shared_sync_service)
+    yield charge(ctx.costs.shared_sync_service)
     if mobj.load_cell(offset) != expected:
         return 1
     kernel = ctx.kernel
@@ -283,20 +283,20 @@ def sys_usync_wake(ctx, mobj, offset: int, count: int = 1,
                    label: str = "usync"):
     """Wake sleepers on a process-shared sync variable; returns the number
     woken."""
-    yield Charge(ctx.costs.shared_sync_service)
+    yield charge(ctx.costs.shared_sync_service)
     chan = ctx.kernel.shared_channel(_cell_key(mobj, offset), label=label)
     woken = 0
     while woken < count:
         if ctx.kernel.wakeup_one(chan, value=0) is None:
             break
         woken += 1
-        yield Charge(ctx.costs.kernel_wakeup)
+        yield charge(ctx.costs.kernel_wakeup)
     return woken
 
 
 @syscall("usync_wake_all")
 def sys_usync_wake_all(ctx, mobj, offset: int, label: str = "usync"):
-    yield Charge(ctx.costs.shared_sync_service)
+    yield charge(ctx.costs.shared_sync_service)
     chan = ctx.kernel.shared_channel(_cell_key(mobj, offset), label=label)
     n = ctx.kernel.wakeup_all(chan, value=0)
     yield Charge(ctx.costs.kernel_wakeup * n)

@@ -8,7 +8,7 @@ in it, and threads of any mapping process contend on the *same* variables.
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Charge
+from repro.hw.isa import charge
 from repro.kernel.fs.vfs import RegularFile
 from repro.kernel.syscalls import syscall
 from repro.kernel.vm import MAP_PRIVATE, MAP_SHARED, PROT_READ, PROT_WRITE
@@ -26,7 +26,7 @@ def sys_mmap(ctx, length: int, flags: int = MAP_PRIVATE,
     """
     kernel = ctx.kernel
     proc = ctx.process
-    yield Charge(ctx.costs.mmap_service)
+    yield charge(ctx.costs.mmap_service)
     shared = bool(flags & MAP_SHARED)
     if fd >= 0:
         of = proc.fdtable.get(fd)
@@ -55,7 +55,7 @@ def sys_mmap(ctx, length: int, flags: int = MAP_PRIVATE,
 
 @syscall("munmap")
 def sys_munmap(ctx, vaddr: int):
-    yield Charge(ctx.costs.mmap_service)
+    yield charge(ctx.costs.mmap_service)
     proc = ctx.process
     mapping = proc.aspace.unmap(vaddr)
     return 0
@@ -63,21 +63,21 @@ def sys_munmap(ctx, vaddr: int):
 
 @syscall("brk")
 def sys_brk(ctx, new_brk: int):
-    yield Charge(ctx.costs.brk_service)
+    yield charge(ctx.costs.brk_service)
     return ctx.process.aspace.set_brk(new_brk)
 
 
 @syscall("sbrk")
 def sys_sbrk(ctx, incr: int):
     """Grow the heap; returns the previous break (the new region base)."""
-    yield Charge(ctx.costs.brk_service)
+    yield charge(ctx.costs.brk_service)
     return ctx.process.aspace.sbrk(incr)
 
 
 @syscall("mprotect")
 def sys_mprotect(ctx, vaddr: int, prot: int):
     """Change the protection of the mapping containing ``vaddr``."""
-    yield Charge(ctx.costs.mmap_service)
+    yield charge(ctx.costs.mmap_service)
     mapping = ctx.process.aspace.find(vaddr)
     if mapping is None:
         raise SyscallError(Errno.EINVAL, "mprotect", hex(vaddr))
@@ -91,5 +91,5 @@ def sys_msync(ctx, vaddr: int):
     proc = ctx.process
     if proc.aspace.find(vaddr) is None:
         raise SyscallError(Errno.EINVAL, "msync", hex(vaddr))
-    yield Charge(ctx.costs.disk_latency)
+    yield charge(ctx.costs.disk_latency)
     return 0

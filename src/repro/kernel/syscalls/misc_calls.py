@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Block, Charge
-from repro.kernel.fs.vfs import TtyDevice
+from repro.hw.isa import Block, WaitChannel, charge
+from repro.kernel.fs import procfs
+from repro.kernel.fs.vfs import Fifo, TtyDevice
+from repro.kernel.net import Socket
 from repro.kernel.profil import ProfilingBuffer, ProfilingState
 from repro.kernel.syscalls import syscall
 
@@ -22,7 +24,7 @@ RLIMIT_NLWPS = 6
 def sys_getrusage(ctx, who: int = RUSAGE_SELF):
     """Resource usage: "the sum of the resource usage (including CPU
     usage) for all LWPs in the process is available via getrusage()"."""
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     if who == RUSAGE_SELF:
         return ctx.process.rusage()
     if who == RUSAGE_CHILDREN:
@@ -36,7 +38,7 @@ def sys_getrusage(ctx, who: int = RUSAGE_SELF):
 
 @syscall("setrlimit")
 def sys_setrlimit(ctx, resource: int, limit):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     rl = ctx.process.rlimits
     if resource == RLIMIT_CPU:
         rl.cpu_ns = limit
@@ -54,7 +56,7 @@ def sys_setrlimit(ctx, resource: int, limit):
 
 @syscall("getrlimit")
 def sys_getrlimit(ctx, resource: int):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     rl = ctx.process.rlimits
     if resource == RLIMIT_CPU:
         return rl.cpu_ns
@@ -74,7 +76,7 @@ def sys_profil(ctx, buffer: ProfilingBuffer = None, enable: bool = True):
     Passing no buffer creates a private one; returns the buffer so the
     program can read the histogram.
     """
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     lwp = ctx.lwp
     if not enable:
         if lwp.profiling is not None:
@@ -90,10 +92,9 @@ def sys_profil(ctx, buffer: ProfilingBuffer = None, enable: bool = True):
 def sys_poll(ctx, fd: int):
     """Wait for input on a descriptor — the paper's example of an
     "indefinite, external event" (SIGWAITING territory)."""
-    from repro.kernel.net import Socket
     of = ctx.process.fdtable.get(fd)
     inode = of.inode
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     if isinstance(inode, TtyDevice):
         while not inode.input_buffer:
             yield Block(inode.read_channel, interruptible=True,
@@ -113,23 +114,19 @@ def sys_poll(ctx, fd: int):
 
 
 def _readable_now(inode) -> bool:
-    """Readiness predicate for select/poll."""
-    from repro.kernel.fs.vfs import Fifo, NullDevice, ProcNode, RegularFile
-    from repro.kernel.net import Socket
+    """Readiness predicate for select/poll: ttys with input, FIFOs with
+    data or no writers, sockets per ``recv_ready``; everything else in
+    our VFS is always ready."""
     if isinstance(inode, TtyDevice):
         return bool(inode.input_buffer)
     if isinstance(inode, Fifo):
         return bool(inode.buffer) or inode.writers == 0
     if isinstance(inode, Socket):
         return inode.recv_ready()
-    if isinstance(inode, (RegularFile, NullDevice, ProcNode)):
-        return True
     return True
 
 
 def _read_channel_of(inode):
-    from repro.kernel.fs.vfs import Fifo
-    from repro.kernel.net import Socket
     if isinstance(inode, TtyDevice):
         return inode.read_channel
     if isinstance(inode, Fifo):
@@ -153,7 +150,6 @@ def _select_sockets(ctx, opens, deadline):
     runs once on entry and once per successful return, preserving the
     generic path's result order exactly.
     """
-    from repro.hw.isa import WaitChannel
     kernel = ctx.kernel
     chan = WaitChannel(f"{ctx.lwp.name}:select")
     pending: list = []
@@ -206,11 +202,9 @@ def sys_select(ctx, fds, timeout_ns=None):
     otherwise the LWP sleeps on *all* the descriptors' wait channels at
     once and the first wakeup resumes it.
     """
-    from repro.hw.isa import WaitChannel
-    from repro.kernel.net import Socket
     kernel = ctx.kernel
     proc = ctx.process
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     opens = [(fd, proc.fdtable.get(fd)) for fd in fds]
 
     deadline = (kernel.engine.now_ns + timeout_ns
@@ -250,7 +244,7 @@ def sys_select(ctx, fds, timeout_ns=None):
 @syscall("yield")
 def sys_yield(ctx):
     """Voluntarily surrender the CPU (LWP-level sched_yield)."""
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     dispatcher = ctx.kernel.dispatcher
     if dispatcher.runnable_count() > 0 and ctx.lwp.cpu is not None:
         dispatcher.voluntary_switches += 1
@@ -265,15 +259,14 @@ def sys_proc_status(ctx, pid: int = 0):
     Returns the parsed form; :mod:`repro.kernel.fs.procfs` renders the
     text the way /proc would expose it.
     """
-    yield Charge(ctx.costs.file_op_service)
-    from repro.kernel.fs import procfs
+    yield charge(ctx.costs.file_op_service)
     target = ctx.kernel.process_by_pid(pid or ctx.process.pid)
     return procfs.status_dict(target)
 
 
 @syscall("uname")
 def sys_uname(ctx):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     return {
         "sysname": "SunOS-repro",
         "release": "5.0-sim",

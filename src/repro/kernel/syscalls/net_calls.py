@@ -19,11 +19,13 @@ real stack produces: ``ECONNREFUSED``, ``ECONNRESET``, ``ETIMEDOUT``,
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Block, Charge, WaitChannel
+from repro.hw.isa import Block, Charge, WaitChannel, charge
 from repro.kernel.fs.file import O_NONBLOCK, O_RDWR, OpenFile
 from repro.kernel.net import (S_ESTABLISHED, S_LISTENING, S_RESET, SHUT_RD,
                               SHUT_RDWR, SHUT_WR, STREAM_CAPACITY, Socket)
+from repro.kernel.signals import Sig
 from repro.kernel.syscalls import syscall
+from repro.sim.clock import usec
 
 
 def _sock_of(ctx, fd: int, call: str) -> tuple:
@@ -58,7 +60,7 @@ def sys_socket(ctx, flags: int = 0):
     ``flags`` may carry ``O_NONBLOCK`` to make every operation on the
     descriptor non-blocking.
     """
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     sock = ctx.kernel.net.create_socket(ctx.process.pid)
     of = OpenFile(sock, O_RDWR | (flags & O_NONBLOCK))
     return ctx.process.fdtable.allocate(of)
@@ -66,7 +68,7 @@ def sys_socket(ctx, flags: int = 0):
 
 @syscall("bind")
 def sys_bind(ctx, fd: int, port: int):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     _of, sock = _sock_of(ctx, fd, "bind")
     ctx.kernel.net.bind(sock, port)
     return 0
@@ -74,7 +76,7 @@ def sys_bind(ctx, fd: int, port: int):
 
 @syscall("listen")
 def sys_listen(ctx, fd: int, backlog: int = 5):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     _of, sock = _sock_of(ctx, fd, "listen")
     ctx.kernel.net.listen(sock, backlog)
     return 0
@@ -85,14 +87,13 @@ def sys_connect(ctx, fd: int, port: int):
     """Connect to a listening port; completes as soon as the connection
     is queued on the listener's backlog (BSD handshake semantics)."""
     kernel = ctx.kernel
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     _of, sock = _sock_of(ctx, fd, "connect")
     if kernel.faults is not None:
         rule = kernel.faults.net_connect_fault(port)
         if rule is not None:
             if rule.mode == "timeout":
                 # The SYN vanished: wait out the handshake timer.
-                from repro.sim.clock import usec
                 yield from _timed_sleep(ctx, usec(rule.timeout_usec),
                                         "connect-timeout")
                 raise SyscallError(Errno.ETIMEDOUT, "connect",
@@ -114,7 +115,7 @@ def sys_accept(ctx, fd: int):
     SIGWAITING territory) unless the socket is ``O_NONBLOCK``.
     """
     kernel = ctx.kernel
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     of, sock = _sock_of(ctx, fd, "accept")
     if sock.state is not S_LISTENING:
         raise SyscallError(Errno.EINVAL, "accept", "socket not listening")
@@ -141,6 +142,25 @@ def sys_accept(ctx, fd: int):
     return ctx.process.fdtable.allocate(OpenFile(conn, O_RDWR))
 
 
+def _send_open(ctx, sock: Socket, written: int) -> bool:
+    """Whether ``send`` may go on writing to ``sock``.  Once bytes are
+    written a reset or closed stream ends the call (False, the partial
+    count is returned); before that it fails: ``ECONNRESET``, or
+    ``SIGPIPE`` then ``EPIPE``."""
+    if sock.state is S_RESET:
+        if written:
+            return False
+        raise SyscallError(Errno.ECONNRESET, "send", sock.name)
+    peer = sock.peer
+    if (sock.wr_closed or peer.state is not S_ESTABLISHED
+            or peer.rd_closed):
+        if written:
+            return False
+        ctx.kernel.post_signal(ctx.process, Sig.SIGPIPE, target_lwp=ctx.lwp)
+        raise SyscallError(Errno.EPIPE, "send", sock.name)
+    return True
+
+
 @syscall("send")
 def sys_send(ctx, fd: int, data: bytes):
     """Send bytes into the peer's stream buffer; returns the count.
@@ -151,7 +171,7 @@ def sys_send(ctx, fd: int, data: bytes):
     ``EPIPE`` after ``SIGPIPE``, the FIFO convention.
     """
     kernel = ctx.kernel
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     of, sock = _conn_of(ctx, fd, "send")
     if kernel.faults is not None:
         if kernel.faults.net_peer_reset("send", sock.name):
@@ -160,28 +180,12 @@ def sys_send(ctx, fd: int, data: bytes):
         if delay_ns:
             yield Charge(delay_ns)
 
-    def check_open(written: int):
-        if sock.state is S_RESET:
-            if written:
-                return False
-            raise SyscallError(Errno.ECONNRESET, "send", sock.name)
-        peer = sock.peer
-        if (sock.wr_closed or peer.state is not S_ESTABLISHED
-                or peer.rd_closed):
-            if written:
-                return False
-            from repro.kernel.signals import Sig
-            kernel.post_signal(ctx.process, Sig.SIGPIPE,
-                               target_lwp=ctx.lwp)
-            raise SyscallError(Errno.EPIPE, "send", sock.name)
-        return True
-
-    check_open(0)
+    _send_open(ctx, sock, 0)
     peer = sock.peer
     written = 0
     view = memoryview(bytes(data))
     while written < len(data):
-        if not check_open(written):
+        if not _send_open(ctx, sock, written):
             return written
         space = STREAM_CAPACITY - len(peer.rbuf)
         if space == 0:
@@ -208,7 +212,7 @@ def sys_recv(ctx, fd: int, length: int):
     a reset connection raises ``ECONNRESET``.
     """
     kernel = ctx.kernel
-    yield Charge(ctx.costs.file_op_service)
+    yield charge(ctx.costs.file_op_service)
     of, sock = _conn_of(ctx, fd, "recv")
     if kernel.faults is not None:
         if kernel.faults.net_peer_reset("recv", sock.name):
@@ -237,7 +241,7 @@ def sys_recv(ctx, fd: int, length: int):
 def sys_shutdown(ctx, fd: int, how: int = SHUT_WR):
     """Close one or both directions without releasing the descriptor."""
     kernel = ctx.kernel
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     _of, sock = _conn_of(ctx, fd, "shutdown")
     if how not in (SHUT_RD, SHUT_WR, SHUT_RDWR):
         raise SyscallError(Errno.EINVAL, "shutdown", f"how {how}")

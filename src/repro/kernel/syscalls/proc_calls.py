@@ -23,7 +23,7 @@ copied for real either way.
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Block, Charge
+from repro.hw.isa import Block, Charge, charge
 from repro.kernel.process import Process
 from repro.kernel.syscalls import syscall
 from repro.kernel.vm import AddressSpace
@@ -37,26 +37,26 @@ P_THREAD_ALL = 101
 
 @syscall("getpid")
 def sys_getpid(ctx):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     return ctx.process.pid
 
 
 @syscall("getppid")
 def sys_getppid(ctx):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     parent = ctx.process.parent
     return parent.pid if parent is not None else 0
 
 
 @syscall("getuid")
 def sys_getuid(ctx):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     return ctx.process.ruid
 
 
 @syscall("geteuid")
 def sys_geteuid(ctx):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     return ctx.process.euid
 
 
@@ -65,7 +65,7 @@ def sys_setuid(ctx, uid: int):
     # "There is only one set of user and group IDs for each process, so if
     # one thread changes one of these, it is changed for all of them."
     # The kernel samples the value atomically, once per system call.
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     proc = ctx.process
     if proc.euid != 0 and uid not in (proc.ruid, proc.euid):
         raise SyscallError(Errno.EPERM, "setuid")
@@ -75,7 +75,7 @@ def sys_setuid(ctx, uid: int):
 
 @syscall("setgid")
 def sys_setgid(ctx, gid: int):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     proc = ctx.process
     if proc.euid != 0 and gid not in (proc.rgid, proc.egid):
         raise SyscallError(Errno.EPERM, "setgid")
@@ -89,7 +89,7 @@ def _fork_common(ctx, child_main, args, duplicate_lwps: bool):
     parent = ctx.process
     costs = ctx.costs
 
-    yield Charge(costs.fork_base)
+    yield charge(costs.fork_base)
     # Pay for the address-space duplication.
     pages = max(1, parent.aspace.mapped_bytes // 4096)
     yield Charge(costs.fork_per_page * pages)
@@ -147,7 +147,7 @@ def sys_exec(ctx, new_main, *args):
     """
     kernel = ctx.kernel
     proc = ctx.process
-    yield Charge(ctx.costs.exec_service)
+    yield charge(ctx.costs.exec_service)
     others = [l for l in proc.live_lwps() if l is not ctx.lwp]
     yield Charge(ctx.costs.exit_per_lwp * len(others))
     for lwp in others:
@@ -175,7 +175,7 @@ def sys_exit(ctx, status: int = 0):
     """Destroy all LWPs and zombify the process; never returns."""
     kernel = ctx.kernel
     proc = ctx.process
-    yield Charge(ctx.costs.exit_service)
+    yield charge(ctx.costs.exit_service)
     others = [l for l in proc.live_lwps() if l is not ctx.lwp]
     yield Charge(ctx.costs.exit_per_lwp * len(others))
     ctx.lwp.exited = True
@@ -192,7 +192,7 @@ def sys_waitpid(ctx, pid: int = -1, nohang: bool = False):
     """
     kernel = ctx.kernel
     proc = ctx.process
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     while True:
         if not proc.children:
             raise SyscallError(Errno.ECHILD, "waitpid")

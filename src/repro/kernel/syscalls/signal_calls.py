@@ -11,7 +11,7 @@ invisible, so cross-process thread signaling is impossible by design.
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Block, Charge
+from repro.hw.isa import Block, charge
 from repro.kernel.signals import (SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK,
                                   Sig, Sigset)
 from repro.kernel.syscalls import syscall
@@ -31,7 +31,7 @@ def sys_sigaction(ctx, sig: int, handler, mask: Sigset = None,
     ``restart`` requests SA_RESTART semantics (interrupted system calls
     resume instead of failing with EINTR).
     """
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     try:
         old = ctx.process.signals.set_action(Sig(sig), handler, mask,
                                              restart=restart)
@@ -48,7 +48,7 @@ def sys_sigprocmask(ctx, how: int, newset: Sigset = None):
     ``thread_sigsetmask()``: the mask belongs to the LWP, and the threads
     library swaps it on thread switch.
     """
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     lwp = ctx.lwp
     old = lwp.sigmask.copy()
     if newset is not None:
@@ -61,7 +61,7 @@ def sys_sigprocmask(ctx, how: int, newset: Sigset = None):
 @syscall("kill")
 def sys_kill(ctx, pid: int, sig: int):
     """Send a signal to a process (classic inter-process kill)."""
-    yield Charge(ctx.costs.signal_post)
+    yield charge(ctx.costs.signal_post)
     target = ctx.kernel.process_by_pid(pid)
     ctx.kernel.post_signal(target, Sig(sig), sender=ctx.process)
     return 0
@@ -75,7 +75,7 @@ def sys_sigsend(ctx, id_type: int, target_id, sig: int):
     process*; it behaves like a trap — only that thread may handle it.
     P_THREAD_ALL sends to all threads of the calling process.
     """
-    yield Charge(ctx.costs.signal_post)
+    yield charge(ctx.costs.signal_post)
     kernel = ctx.kernel
     sig = Sig(sig)
     if id_type == P_PID:
@@ -106,7 +106,7 @@ def sys_lwp_kill(ctx, lwp_id: int, sig: int):
     There is deliberately no cross-process variant: "There is no
     system-wide name space for threads or lightweight processes."
     """
-    yield Charge(ctx.costs.signal_post)
+    yield charge(ctx.costs.signal_post)
     proc = ctx.process
     lwp = proc.lwps.get(lwp_id)
     if lwp is None or lwp.exited:
@@ -125,7 +125,7 @@ def sys_sigaltstack(ctx, stack=None, disable: bool = False):
     refuses it for unbound threads, where keeping the state would cost a
     system call per context switch.
     """
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     lwp = ctx.lwp
     old = lwp.altstack
     if disable:
@@ -142,7 +142,7 @@ def sys_sigaltstack(ctx, stack=None, disable: bool = False):
 @syscall("sigpending")
 def sys_sigpending(ctx):
     """Signals pending for the calling LWP or the whole process."""
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     return ctx.lwp.pending.union(ctx.process.signals.pending)
 
 

@@ -10,7 +10,7 @@ SIGPROF, as appropriate, is sent to the LWP that owns the interval timer."
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Block, Charge, WaitChannel
+from repro.hw.isa import Block, WaitChannel, charge
 from repro.kernel.signals import Sig
 from repro.kernel.syscalls import syscall
 
@@ -22,7 +22,7 @@ ITIMER_PROF = 2
 @syscall("gettimeofday")
 def sys_gettimeofday(ctx):
     """Current virtual time in nanoseconds."""
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     return ctx.engine.now_ns
 
 
@@ -36,7 +36,7 @@ def sys_nanosleep(ctx, duration_ns: int):
     """
     if duration_ns < 0:
         raise SyscallError(Errno.EINVAL, "nanosleep")
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     kernel = ctx.kernel
     lwp = ctx.lwp
     if kernel.faults is not None:
@@ -70,7 +70,7 @@ def sys_setitimer(ctx, which: int, interval_ns: int):
 
     ITIMER_REAL is per-process; VIRTUAL and PROF are per-LWP.
     """
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     kernel = ctx.kernel
     proc = ctx.process
     lwp = ctx.lwp
@@ -102,7 +102,7 @@ def sys_setitimer(ctx, which: int, interval_ns: int):
 
 @syscall("getitimer")
 def sys_getitimer(ctx, which: int):
-    yield Charge(ctx.costs.syscall_service_trivial)
+    yield charge(ctx.costs.syscall_service_trivial)
     lwp = ctx.lwp
     if which == ITIMER_VIRTUAL:
         return lwp.vtimer_remaining_ns

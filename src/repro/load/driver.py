@@ -36,9 +36,11 @@ deterministic.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from repro.errors import SyscallError
 from repro.kernel.net import S_RESET
+from repro.obs.registry import MetricKeys
 from repro.sim.clock import usec
 from repro.workloads.network_server import BUSY, PORT, REQUEST_SIZE
 
@@ -86,6 +88,16 @@ class LoadDriver:
         self.first_ns = None
         self.done_ns = None
         self.finished = False
+        # Metric names, each built once: per outcome and window, the
+        # outcome counter and the window's counter; per window, the
+        # window's latency histogram.
+        self._offered_key = f"load.offered.{label}"
+        self._latency_key = f"load.latency_ns.{label}"
+        self._outcome_keys = MetricKeys(
+            lambda wo: (f"load.outcome.{wo[1]}.{label}",
+                        f"load.w{wo[0]:02d}.{wo[1]}.{label}"))
+        self._window_latency_keys = MetricKeys(
+            lambda w: f"load.w{w:02d}.latency_ns.{label}")
 
     # ------------------------------------------------------- scheduling
 
@@ -102,7 +114,7 @@ class LoadDriver:
         i = self._next
         self._next += 1
         t = max(self.trace.arrivals_ns[i], self.engine.now_ns)
-        self.engine.call_at(t, lambda: self._arrive(i),
+        self.engine.call_at(t, partial(self._arrive, i),
                             tag="load-arrival")
 
     def _arrive(self, i: int) -> None:
@@ -120,8 +132,7 @@ class LoadDriver:
         now = self.engine.now_ns
         if self.first_ns is None:
             self.first_ns = now
-        m = self.metrics
-        m.count(f"load.offered.{self.label}")
+        self.metrics.count(self._offered_key)
         w = self._window(i)
         payload = _rid(i)
         sock = self.net.create_socket(0)
@@ -139,13 +150,13 @@ class LoadDriver:
         def on_ready(_sock, i=i, rec=rec):
             if not rec["scheduled"]:
                 rec["scheduled"] = True
-                self.engine.call_after(0, lambda: self._check(i),
+                self.engine.call_after(0, partial(self._check, i),
                                        tag="load-complete")
 
         rec["watcher"] = on_ready
         sock.watchers.append(on_ready)
         rec["timer"] = self.engine.call_after(
-            self.deadline_ns, lambda: self._deadline(i),
+            self.deadline_ns, partial(self._deadline, i),
             tag="load-deadline")
         if sock.recv_ready():
             on_ready(sock)
@@ -196,13 +207,13 @@ class LoadDriver:
     def _resolve(self, i: int, outcome: str, sent_ns: int, w: int,
                  done_ns, client) -> None:
         m = self.metrics
-        lbl = self.label
-        m.count(f"load.outcome.{outcome}.{lbl}")
-        m.count(f"load.w{w:02d}.{outcome}.{lbl}")
+        total_key, window_key = self._outcome_keys[w, outcome]
+        m.count(total_key)
+        m.count(window_key)
         if outcome == "ok":
             lat = done_ns - sent_ns
-            m.observe(f"load.latency_ns.{lbl}", lat)
-            m.observe(f"load.w{w:02d}.latency_ns.{lbl}", lat)
+            m.observe(self._latency_key, lat)
+            m.observe(self._window_latency_keys[w], lat)
         self._resolved += 1
         self.done_ns = self.engine.now_ns
         if self.closed is not None and client is not None:

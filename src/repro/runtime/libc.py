@@ -12,7 +12,7 @@ from typing import Any
 
 from repro.errors import ThreadError
 from repro.hw import isa
-from repro.hw.isa import Charge, GetContext
+from repro.hw.isa import GetContext
 from repro.sim.clock import usec
 
 
@@ -60,7 +60,7 @@ def setjmp_longjmp_pair():
 
 def compute(usec_amount: float):
     """Generator: burn ``usec_amount`` microseconds of CPU (user mode)."""
-    yield Charge(usec(usec_amount))
+    yield isa.charge(usec(usec_amount))
 
 
 def errno():

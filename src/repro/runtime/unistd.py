@@ -9,8 +9,10 @@ Python-style error handling work.
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import SyscallError
-from repro.hw.isa import GetContext, Syscall
+from repro.hw.isa import GET_CONTEXT, Syscall
 from repro.kernel.fs.file import O_CREAT, O_RDWR
 
 __all__ = [
@@ -32,7 +34,7 @@ def syscall(name: str, *args, **kwargs):
     try:
         result = yield Syscall(name, *args, **kwargs)
     except SyscallError as err:
-        ctx = yield GetContext()
+        ctx = yield GET_CONTEXT
         if ctx.thread is not None:
             ctx.thread.tls.errno = int(err.errno)
         raise
@@ -40,11 +42,14 @@ def syscall(name: str, *args, **kwargs):
 
 
 def _wrap(name):
-    def call(*args, **kwargs):
-        result = yield from syscall(name, *args, **kwargs)
-        return result
+    """The wrapper for ``name``: :func:`syscall` with the name bound.
+
+    A ``partial``, so a call builds the :func:`syscall` generator
+    itself, which traps directly: one generator per call, with no
+    Python-level wrapper frame around it.
+    """
+    call = functools.partial(syscall, name)
     call.__name__ = name
-    call.__qualname__ = name
     call.__doc__ = f"Generator wrapper for the {name}(2) system call."
     return call
 
@@ -107,10 +112,10 @@ shutdown = _wrap("shutdown")
 
 def creat(path: str):
     """creat(2): open-with-create for read/write."""
-    fd = yield from syscall("open", path, O_CREAT | O_RDWR)
-    return fd
+    return open(path, O_CREAT | O_RDWR)
 
 
 def sleep_usec(usec_amount: float):
-    """Sleep for ``usec_amount`` microseconds of virtual time."""
-    yield from syscall("nanosleep", int(usec_amount * 1000))
+    """Sleep for ``usec_amount`` microseconds of virtual time (returns
+    0, as nanosleep does)."""
+    return nanosleep(int(usec_amount * 1000))

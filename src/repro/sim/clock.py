@@ -32,33 +32,3 @@ def sec(x: float) -> int:
 def to_usec(ns: int) -> float:
     """Convert integer nanoseconds to (float) microseconds for reporting."""
     return ns / NS_PER_US
-
-
-class VirtualClock:
-    """Monotonic virtual clock owned by the engine.
-
-    Only the engine advances the clock; everything else reads it.  The
-    ``now_ns`` attribute is read frequently on hot paths, so it is a plain
-    attribute rather than a property.
-    """
-
-    __slots__ = ("now_ns",)
-
-    def __init__(self) -> None:
-        self.now_ns: int = 0
-
-    def advance_to(self, t_ns: int) -> None:
-        """Move the clock forward to ``t_ns``.  Time never goes backward."""
-        if t_ns < self.now_ns:
-            raise ValueError(
-                f"clock would go backward: {t_ns} < {self.now_ns}"
-            )
-        self.now_ns = t_ns
-
-    @property
-    def now_usec(self) -> float:
-        """Current time in microseconds (for reports and tests)."""
-        return self.now_ns / NS_PER_US
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"VirtualClock(now={self.now_usec:.3f}us)"

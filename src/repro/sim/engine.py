@@ -34,7 +34,7 @@ from heapq import heappop
 from typing import Callable, Optional
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.clock import VirtualClock
+from repro.sim.clock import NS_PER_US
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import DeterministicRNG
 from repro.sim.trace import Tracer
@@ -44,13 +44,15 @@ class Engine:
     """Discrete-event simulation driver.
 
     Attributes:
-        clock: the virtual clock (integer nanoseconds).
+        now_ns: current virtual time in integer nanoseconds.  Only
+            :meth:`run` advances it, and never backwards; everything
+            else reads it.
         tracer: structured trace collector (off by default).
         rng: deterministic random source with named sub-streams.
     """
 
     def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None):
-        self.clock = VirtualClock()
+        self.now_ns = 0
         self.queue = EventQueue()
         self.tracer = tracer if tracer is not None else Tracer()
         self.rng = DeterministicRNG(seed)
@@ -94,24 +96,26 @@ class Engine:
     # ----------------------------------------------------------------- time
 
     @property
-    def now_ns(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self.clock.now_ns
-
-    @property
     def now_usec(self) -> float:
         """Current virtual time in microseconds."""
-        return self.clock.now_usec
+        return self.now_ns / NS_PER_US
+
+    def _advance_to(self, t_ns: int) -> None:
+        """Move the clock forward to ``t_ns``.  Time never goes backward."""
+        if t_ns < self.now_ns:
+            raise ValueError(
+                f"clock would go backward: {t_ns} < {self.now_ns}")
+        self.now_ns = t_ns
 
     # ------------------------------------------------------------ scheduling
 
     def call_at(self, time_ns: int, fn: Callable[[], None],
                 tag: str = "") -> Event:
         """Schedule ``fn`` at absolute virtual time ``time_ns``."""
-        if time_ns < self.clock.now_ns:
+        if time_ns < self.now_ns:
             raise SimulationError(
                 f"cannot schedule event in the past: {time_ns} < "
-                f"{self.clock.now_ns}")
+                f"{self.now_ns}")
         return self.queue.push(time_ns, fn, tag)
 
     def call_after(self, delay_ns: int, fn: Callable[[], None],
@@ -119,7 +123,7 @@ class Engine:
         """Schedule ``fn`` after ``delay_ns`` nanoseconds of virtual time."""
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
-        return self.queue.push(self.clock.now_ns + delay_ns, fn, tag)
+        return self.queue.push(self.now_ns + delay_ns, fn, tag)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event.  Safe to call more than once, and a
@@ -151,8 +155,6 @@ class Engine:
         # only (the loop body runs once per simulated effect).
         pop_next = self.queue.pop_next
         heap = self.queue._heap
-        clock = self.clock
-        advance_to = clock.advance_to
         try:
             while True:
                 stepper = self.parked
@@ -172,7 +174,7 @@ class Engine:
                         # Run the step in place.  It was parked during
                         # the event just fired, so t >= now.
                         self.parked = None
-                        clock.now_ns = t
+                        self.now_ns = t
                         stepper.step()
                         fired += 1
                         if max_events is not None and fired >= max_events:
@@ -183,7 +185,7 @@ class Engine:
                 if ev is None:
                     if next_time is not None:
                         # Next live event lies beyond until_ns.
-                        advance_to(until_ns)
+                        self._advance_to(until_ns)
                         break
                     if check_deadlock and self.idle_check is not None:
                         complaint = self.idle_check()
@@ -193,7 +195,9 @@ class Engine:
                                 complaint = f"{complaint}\n{report}"
                             raise DeadlockError(complaint)
                     break
-                advance_to(next_time)
+                if next_time < self.now_ns:
+                    self._advance_to(next_time)  # raises: time went back
+                self.now_ns = next_time
                 ev.fn()
                 fired += 1
                 if max_events is not None and fired >= max_events:
@@ -224,7 +228,7 @@ class Engine:
 
     def run_for(self, delay_ns: int, **kw) -> int:
         """Run for ``delay_ns`` of virtual time from now."""
-        return self.run(until_ns=self.clock.now_ns + delay_ns, **kw)
+        return self.run(until_ns=self.now_ns + delay_ns, **kw)
 
     @property
     def events_fired(self) -> int:

@@ -73,18 +73,14 @@ def bootstrap_process(kernel: Kernel, proc: Process, main, args: tuple,
 def _main_wrapper(main, args: tuple):
     """Adapt main(*args) to the thread body convention func(arg).
 
-    Yields from ``main``'s generator directly (one frame, not a nested
-    trampoline): every effect the main thread ever yields traverses this
-    wrapper, so each avoided layer is one less generator resumption per
-    simulated instruction.
+    The body returns ``main``'s generator (or its plain result) rather
+    than delegating to it, so ``_thread_body`` drives ``main`` directly:
+    every effect the main thread ever yields would traverse a
+    delegating frame, one more generator resumption per simulated
+    instruction.
     """
-    from typing import Generator
-
     def body(_arg):
-        result = main(*args)
-        if isinstance(result, Generator):
-            result = yield from result
-        return result
+        return main(*args)
     return body
 
 

@@ -115,12 +115,12 @@ class TestDiagnostics:
         assert kernel._idle_complaint() is None
 
     def test_syscall_counts_accumulate(self, kernel):
-        class L:
-            name = "fake"
-
-        kernel.note_syscall(L(), "read")
-        kernel.note_syscall(L(), "read")
+        # The trap counts the call before any handler code runs.
+        for _ in range(2):
+            kernel.trap(None, "read", (3, 1), {})
+        kernel.trap(None, "no_such_call", (), {})
         assert kernel.syscall_counts["read"] == 2
+        assert kernel.syscall_counts["no_such_call"] == 1
 
 
 class TestUnparkHelper:

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.api import Simulator
 from repro.errors import Errno, SyscallError
 from repro.hw.memory import PhysicalMemory
+from repro.kernel.fs.file import O_CREAT, O_RDWR
 from repro.kernel.fs.vfs import (Directory, Fifo, NullDevice, RegularFile,
                                  TtyDevice, Vfs)
+from repro.runtime import unistd
 
 
 @pytest.fixture
@@ -122,6 +125,24 @@ class TestDevices:
         a = vfs.create_file("/tmp/a")
         b = vfs.create_file("/tmp/b")
         assert a.ino != b.ino
+
+    def test_inode_numbers_do_not_depend_on_earlier_simulations(self):
+        """Inode numbers count per kernel: a guest that branches on one
+        behaves the same in a serial sweep and under ``--jobs``."""
+        def ino_of_new_file():
+            got = []
+
+            def main():
+                yield from unistd.open("/tmp/f", O_CREAT | O_RDWR)
+                got.append((yield from unistd.stat("/tmp/f"))["ino"])
+
+            sim = Simulator()
+            sim.spawn(main)
+            sim.run()
+            return got[0]
+
+        inos = [ino_of_new_file() for _ in range(3)]
+        assert inos[0] == inos[1] == inos[2]
 
     def test_kinds(self, vfs):
         assert vfs.lookup("/dev/tty").kind == "tty"

@@ -1,17 +1,26 @@
-"""The engine's front slot: in-place steps are exactly queued steps.
+"""The CPU's fast paths are exactly the plain paths they shortcut.
 
 A CPU parks its next step in the engine's front slot and the engine runs
-it in place when it sorts first (see ``repro.sim.engine``).  These tests
-pin that this is a pure host-side shortcut:
+it in place when it sorts first (see ``repro.sim.engine``), and
+``CPU._step`` traps and returns from the kernel inline (see
+``repro.hw.cpu``).  These tests pin that both are pure host-side
+shortcuts:
 
 * generated guest programs give the same trace digest, ``events_fired``
   and final clock as with every step forced through the heap (the
   reference is built here by patching ``CPU._schedule_step`` to unpark
   at once, so every step becomes an ordinary Event with its reserved
   ``(time, seq)``);
+* generated programs, metrics on, give the same digest, ``events_fired``,
+  clock and metrics JSON as with every trap sent through
+  ``_DISPATCH`` -> ``CPU._enter_kernel`` and every frame return through
+  ``CPU._frame_returned`` (the reference patches out the inline paths'
+  matches);
 * the ``max_events`` and ``until_ns`` guards stop a run of in-place
   steps exactly where they stop queued events.
 """
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,9 +28,14 @@ from hypothesis import strategies as st
 
 from repro import threads
 from repro.api import Simulator
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SyscallError
+from repro.hw import cpu as cpu_mod
+from repro.hw import isa
 from repro.hw.cpu import CPU
-from repro.hw.isa import Charge, GetContext
+from repro.hw.isa import Charge, GetContext, Touch
+from repro.hw.memory import PAGE_SIZE, MemoryObject
+from repro.kernel.signals import Sig
+from repro.kernel.syscalls.time_calls import ITIMER_PROF
 from repro.runtime import unistd
 from repro.sim.clock import usec
 from repro.sim.schedule import RandomPreempt, SchedulePlan
@@ -32,6 +46,9 @@ SIM_SETTINGS = settings(
     max_examples=40, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 
+#: Pages of the memory object the ``touch`` op faults in.
+PAGES = 4
+
 OPS = st.one_of(
     st.tuples(st.just("charge"), st.integers(0, 40)),
     st.just(("ctx",)),
@@ -39,14 +56,36 @@ OPS = st.one_of(
     st.tuples(st.just("sleep"), st.integers(1, 30)),
     st.tuples(st.just("locked"), st.integers(0, 20)),
     st.tuples(st.just("timer"), st.integers(0, 2)),
+    # A failing call: the error leaves the kernel by _frame_raised.
+    st.just(("badread",)),
+    # Up to 1.5 pipe buffers, so either side may block.
+    st.tuples(st.just("pipe"), st.integers(1, 12_288)),
+    # A caught signal to self, delivered at the kill's syscall exit.
+    st.just(("signal",)),
+    # The first touch of a page faults: a "pagefault" kernel frame.
+    st.tuples(st.just("touch"), st.integers(0, PAGES - 1)),
+    # A caught SIGPROF once this LWP has run that many more us; at up
+    # to 15 us it fires inside setitimer's own exit charge.
+    st.tuples(st.just("prof"), st.integers(1, 60)),
 )
 
 #: One op list for the main thread, then one per created thread.
 PROGRAMS = st.lists(st.lists(OPS, max_size=6), min_size=1, max_size=4)
 
 
+def _on_signal(sig):
+    yield Charge(usec(3))
+
+
+def _drain(arg):
+    rfd, n = arg
+    got = 0
+    while got < n:
+        got += len((yield from unistd.read(rfd, n - got)))
+
+
 def _body(arg):
-    ops, mutex = arg
+    ops, mutex, mobj = arg
     for op in ops:
         kind = op[0]
         if kind == "charge":
@@ -57,6 +96,33 @@ def _body(arg):
             yield from unistd.getpid()
         elif kind == "sleep":
             yield from unistd.sleep_usec(op[1])
+        elif kind == "badread":
+            try:
+                yield from unistd.read(99, 1)
+            except SyscallError:
+                pass
+        elif kind == "pipe":
+            # A bound reader drains while this thread writes.
+            rfd, wfd = yield from unistd.pipe()
+            tid = yield from threads.thread_create(
+                _drain, (rfd, op[1]),
+                flags=threads.THREAD_WAIT | threads.THREAD_BIND_LWP)
+            yield from unistd.write(wfd, b"p" * op[1])
+            yield from threads.thread_wait(tid)
+            yield from unistd.close(wfd)
+            yield from unistd.close(rfd)
+        elif kind == "signal":
+            # SA_RESTART: a sleeping LWP that takes it resumes its sleep.
+            yield from unistd.sigaction(int(Sig.SIGUSR1), _on_signal,
+                                        restart=True)
+            me = yield from unistd.getpid()
+            yield from unistd.kill(me, int(Sig.SIGUSR1))
+        elif kind == "touch":
+            yield Touch(mobj, op[1] * PAGE_SIZE)
+        elif kind == "prof":
+            yield from unistd.sigaction(int(Sig.SIGPROF), _on_signal,
+                                        restart=True)
+            yield from unistd.setitimer(ITIMER_PROF, usec(op[1]))
         elif kind == "timer":
             # Queued events due at (or just after) the next steps, so
             # in-place steps meet heap events, and a cancelled entry
@@ -78,29 +144,38 @@ def _guest(program, bound):
 
     def main():
         mutex = Mutex()
+        mobj = MemoryObject(PAGES * PAGE_SIZE)
         flags = threads.THREAD_WAIT
         if bound:
             flags |= threads.THREAD_BIND_LWP
         tids = []
         for ops in workers:
             tid = yield from threads.thread_create(
-                _body, (ops, mutex), flags=flags)
+                _body, (ops, mutex, mobj), flags=flags)
             tids.append(tid)
-        yield from _body((main_ops, mutex))
+        yield from _body((main_ops, mutex, mobj))
         for tid in tids:
             yield from threads.thread_wait(tid)
     return main
 
 
-def _run(program, ncpus, bound, preempt, seed):
+def _run(program, ncpus, bound, preempt, seed, metrics=False):
     sink = DigestSink()
     plan = (SchedulePlan([RandomPreempt(probability=0.3)])
             if preempt else None)
     sim = Simulator(ncpus=ncpus, seed=seed, trace=True, trace_sink=sink,
-                    trace_store=False, schedule=plan)
+                    trace_store=False, schedule=plan, metrics=metrics)
     sim.spawn(_guest(program, bound))
     sim.run(max_events=100_000)
-    return sink.hexdigest(), sim.engine.events_fired, sim.engine.now_ns
+    out = (sink.hexdigest(), sim.engine.events_fired, sim.engine.now_ns)
+    if metrics:
+        # The CPU time booked to each CPU and each LWP, too.
+        booked = [(c.user_ns, c.kernel_ns) for c in sim.machine.cpus]
+        booked += [(lwp.name, lwp.user_ns, lwp.system_ns)
+                   for proc in sim.kernel.processes.values()
+                   for lwp in proc.lwps.values()]
+        out += (sim.metrics.to_json(), booked)
+    return out
 
 
 def _queued_only(mp):
@@ -115,6 +190,43 @@ def _queued_only(mp):
     mp.setattr(CPU, "_schedule_step", schedule_step)
 
 
+class _NotAnEffect:
+    """Stands in for ``isa.Syscall`` in the inline trap's exact-type
+    match, which then never matches."""
+
+
+def _count_generic(mp):
+    """Count the calls of the generic trap (``_DISPATCH`` ->
+    ``CPU._enter_kernel``) and frame return (``CPU._frame_returned``);
+    returns the live ``[traps, returns]`` tally."""
+    seen = [0, 0]
+    enter = cpu_mod._DISPATCH[isa.Syscall]
+    returned = CPU._frame_returned
+
+    def enter_kernel(self, lwp, activity, effect):
+        seen[0] += 1
+        enter(self, lwp, activity, effect)
+
+    def frame_returned(self, lwp, activity, value):
+        seen[1] += 1
+        returned(self, lwp, activity, value)
+
+    mp.setitem(cpu_mod._DISPATCH, isa.Syscall, enter_kernel)
+    mp.setattr(CPU, "_frame_returned", frame_returned)
+    return seen
+
+
+def _generic_route(mp):
+    """Force every trap and every frame return onto the generic paths.
+
+    The inline trap matches the exact type ``repro.hw.cpu._Syscall`` and
+    the inline return a frame of mode ``repro.hw.cpu._USER`` below the
+    returning one; a stand-in for each turns both off.
+    """
+    mp.setattr(cpu_mod, "_Syscall", _NotAnEffect)
+    mp.setattr(cpu_mod, "_USER", object())
+
+
 class TestSameResultWithAndWithoutTheSlot:
     @SIM_SETTINGS
     @given(program=PROGRAMS, ncpus=st.integers(1, 2), bound=st.booleans(),
@@ -126,6 +238,39 @@ class TestSameResultWithAndWithoutTheSlot:
             _queued_only(mp)
             want = _run(program, ncpus, bound, preempt, seed)
         assert got == want
+
+
+class TestSameResultInlineAndGeneric:
+    @SIM_SETTINGS
+    @given(program=PROGRAMS, ncpus=st.integers(1, 2), bound=st.booleans(),
+           preempt=st.booleans(), seed=st.integers(0, 999))
+    def test_digest_events_clock_and_metrics_match(self, program, ncpus,
+                                                   bound, preempt, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            inline = _count_generic(mp)
+            got = _run(program, ncpus, bound, preempt, seed, metrics=True)
+        with pytest.MonkeyPatch.context() as mp:
+            generic = _count_generic(mp)
+            _generic_route(mp)
+            want = _run(program, ncpus, bound, preempt, seed, metrics=True)
+        assert got == want
+        # Only the reference traps through _enter_kernel, and the two
+        # runs differ in _frame_returned calls by exactly the kernel
+        # frames (syscalls and faults) that returned to user mode
+        # rather than raised: the inline return's cases.
+        metrics = json.loads(want[3])
+        counters, hists = metrics["counters"], metrics["histograms"]
+        traps = sum(v for k, v in counters.items()
+                    if k.startswith("syscall.count."))
+        exits = sum(h["count"] for k, h in hists.items()
+                    if k.startswith(("syscall.latency_ns.",
+                                     "kernel.latency_ns.",
+                                     "vm.pagefault_latency_ns")))
+        raised = sum(v for k, v in counters.items()
+                     if k.startswith("syscall.errno."))
+        assert inline[0] == 0
+        assert generic[0] == traps > 0
+        assert generic[1] - inline[1] == exits - raised
 
 
 def _spin():

@@ -1,9 +1,7 @@
-"""Tests for virtual time conversion and the clock."""
+"""Tests for virtual time conversion (the clock itself is the engine's
+``now_ns``: tests/sim/test_engine.py)."""
 
-import pytest
-
-from repro.sim.clock import (NS_PER_US, VirtualClock, msec, sec, to_usec,
-                             usec)
+from repro.sim.clock import NS_PER_US, msec, sec, to_usec, usec
 
 
 class TestConversions:
@@ -24,26 +22,3 @@ class TestConversions:
 
     def test_ns_per_us_constant(self):
         assert NS_PER_US == 1_000
-
-
-class TestVirtualClock:
-    def test_starts_at_zero(self):
-        assert VirtualClock().now_ns == 0
-
-    def test_advance(self):
-        clock = VirtualClock()
-        clock.advance_to(5_000)
-        assert clock.now_ns == 5_000
-        assert clock.now_usec == 5.0
-
-    def test_advance_to_same_time_allowed(self):
-        clock = VirtualClock()
-        clock.advance_to(100)
-        clock.advance_to(100)
-        assert clock.now_ns == 100
-
-    def test_time_never_goes_backward(self):
-        clock = VirtualClock()
-        clock.advance_to(10)
-        with pytest.raises(ValueError):
-            clock.advance_to(9)
