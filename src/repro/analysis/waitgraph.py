@@ -16,9 +16,10 @@ Process-shared (usync) sleeps appear in the LWP section: the kernel
 channel a shared-variable sleep uses is labeled with the owning
 primitive's name (e.g. ``mutex:lock:…``), so cross-process waits are
 named even though no user-level queue exists for them.  Socket waits
-(accept/recv/connect) additionally carry the network-side story from
-``kernel.net.annotate_channel`` — which port, connection state, peer
-process, and bytes buffered — so "blocked in recv" names its culprit.
+(accept/recv/send) additionally carry the network-side story of the
+socket that owns the channel (``Socket.wait_annotation``) — which port,
+connection state, peer process, and bytes buffered — so "blocked in
+recv" names its culprit.
 """
 
 from __future__ import annotations
@@ -103,9 +104,10 @@ def _resolve_queue(queue: list, lib) -> tuple[str, str, list]:
 def build_wait_graph(kernel) -> tuple[list[WaitEdge], list[tuple]]:
     """Walk every active process; returns (thread_edges, lwp_waits).
 
-    ``lwp_waits`` is ``[(lwp, channel_name, since_ns), ...]`` — the
+    ``lwp_waits`` is ``[(lwp, channel, since_ns), ...]`` — the
     kernel-level view, which includes usync sleeps and bound threads
-    parked inside system calls.
+    parked inside system calls; ``channel`` is the channel's name plus
+    its owner's annotation, if it has an owner.
     """
     edges: list[WaitEdge] = []
     lwp_waits: list[tuple] = []
@@ -115,18 +117,19 @@ def build_wait_graph(kernel) -> tuple[list[WaitEdge], list[tuple]]:
             continue
         for lwp in proc.live_lwps():
             if lwp.state is LwpState.SLEEPING:
-                # `is not None`, not truthiness: an empty WaitChannel is
+                chan = lwp.channel
+                # `is None`, not truthiness: an empty WaitChannel is
                 # falsy but still names the wait.
-                chan = (lwp.channel.name if lwp.channel is not None
-                        else "?")
-                if lwp.channel is not None:
+                if chan is None:
+                    where = "?"
+                elif chan.owner is None:
+                    where = chan.name
+                else:
                     # Socket waits get their network-side story: which
                     # port/connection, who the peer is, what state it is
                     # in — "blocked in recv" alone names no culprit.
-                    note = kernel.net.annotate_channel(lwp.channel)
-                    if note:
-                        chan = f"{chan} [{note}]"
-                lwp_waits.append((lwp, chan, lwp.sleep_since_ns))
+                    where = f"{chan.name} [{chan.owner.wait_annotation()}]"
+                lwp_waits.append((lwp, where, lwp.sleep_since_ns))
         lib = proc.threadlib
         if lib is None:
             continue

@@ -481,15 +481,12 @@ class CPU:
             raise SimulationError(
                 f"{self.name} blocking {lwp!r} but running {self.lwp!r}")
         if self.tracer.want_sched:
-            # Uniform channel-name protocol: WaitChannel and ChannelSet
-            # both carry .name.
+            # WaitChannel and ChannelSet both carry .name.
             self.tracer.emit(self.engine.now_ns, "sched", "block",
-                             lwp.name, chan=isa.channel_name(effect.channel))
+                             lwp.name, chan=effect.channel.name)
         self._account(self.costs.kernel_block, kernel=True)
         self.release()
-        self.kernel.block_lwp(lwp, effect.channel,
-                              interruptible=effect.interruptible,
-                              indefinite=effect.indefinite)
+        self.kernel.block_lwp(lwp, effect)
         self.kernel.dispatcher.cpu_idle(self)
 
     # ------------------------------------------------------- frame returns

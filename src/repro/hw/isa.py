@@ -26,8 +26,9 @@ User mode (yielded by thread bodies and library code):
 Kernel mode (yielded by system-call handler generators):
 
 * :class:`Charge` — kernel service time.
-* :class:`Block` — put the executing LWP to sleep on a wait channel.  The
-  value of the ``yield`` is whatever the waker passes.
+* :class:`Block` — put the executing LWP to sleep on a wait channel,
+  optionally until a deadline.  The value of the ``yield`` is whatever the
+  waker passes, or :data:`TIMED_OUT` when the deadline came first.
 
 The executor in :mod:`repro.hw.cpu` interprets these.
 """
@@ -194,7 +195,8 @@ class Block(Effect):
     """Kernel mode: sleep the executing LWP on ``channel``.
 
     Args:
-        channel: a :class:`repro.hw.isa.WaitChannel`.
+        channel: a :class:`repro.hw.isa.WaitChannel`, or a list of them
+            (turned into a :class:`ChannelSet`).
         interruptible: whether a signal may abort the sleep (the classic
             UNIX interruptible-sleep semantic; the sleep then raises
             ``SyscallError(EINTR)`` unless the syscall restarts).
@@ -202,20 +204,31 @@ class Block(Effect):
             for user input).  The kernel uses this to decide when a process
             deserves ``SIGWAITING`` — the paper sends it only when *all*
             LWPs are "waiting for some indefinite, external event".
+        deadline_ns: absolute virtual time at which the sleep ends by
+            itself, resuming with :data:`TIMED_OUT`; None sleeps until a
+            wakeup or a signal.
     """
 
-    __slots__ = ("channel", "interruptible", "indefinite")
+    __slots__ = ("channel", "interruptible", "indefinite", "deadline_ns")
 
     def __init__(self, channel, interruptible: bool = True,
-                 indefinite: bool = False):
+                 indefinite: bool = False,
+                 deadline_ns: Optional[int] = None):
         if isinstance(channel, (list, tuple)):
             channel = ChannelSet(channel)
         self.channel = channel
         self.interruptible = interruptible
         self.indefinite = indefinite
+        self.deadline_ns = deadline_ns
 
     def __repr__(self) -> str:
         return f"Block({self.channel!r})"
+
+
+#: What a timed sleep returns when its deadline passed first: the value of
+#: a kernel ``yield Block(..., deadline_ns=...)`` and of the threads
+#: library's timed block.
+TIMED_OUT = object()
 
 
 class ChannelSet:
@@ -245,28 +258,21 @@ class ChannelSet:
         return f"<ChannelSet {self.name}>"
 
 
-def channel_name(channel) -> str:
-    """Uniform display name of a wait channel, ChannelSet, or raw
-    list/tuple of channels (the pre-ChannelSet representation, still
-    accepted at kernel entry points)."""
-    name = getattr(channel, "name", None)
-    if name is not None:
-        return name
-    return ",".join(c.name for c in channel)
-
-
 class WaitChannel:
     """A kernel sleep queue: the thing an LWP blocks on.
 
     Wakeups deliver a value to the sleeping LWP's resumption point.  The
     channel keeps FIFO order, which makes simulations deterministic.
+    ``owner`` is the kernel object the channel belongs to (a socket), for
+    hang reports; None when the name says it all.
     """
 
-    __slots__ = ("name", "waiters")
+    __slots__ = ("name", "waiters", "owner")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, owner: Any = None):
         self.name = name
         self.waiters: list = []  # LWPs, FIFO
+        self.owner = owner
 
     def add(self, lwp) -> None:
         self.waiters.append(lwp)

@@ -14,11 +14,12 @@ library and are not known to the kernel."
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import Any, Optional
 
 from repro.errors import (Errno, InterruptedSleep, SimulationError,
                           SyscallError)
-from repro.hw.context import Activity, as_generator
+from repro.hw.context import Activity, Mode, as_generator
 from repro.hw.cpu import ExecContext
 from repro.hw import isa
 from repro.hw.isa import WaitChannel
@@ -51,8 +52,8 @@ class Kernel:
         # Where self-terminating LWPs go; never woken.
         self.grave = WaitChannel("grave")
         # Channels for kernel-level sleeps on process-shared sync
-        # variables, keyed by the shared variable's identity.
-        self._shared_channels: dict[int, WaitChannel] = {}
+        # variables, keyed by the shared cell (memory object, offset).
+        self._shared_channels: dict[tuple, WaitChannel] = {}
         # The machine's network layer: port namespace, listen queues,
         # connection pairing (repro.kernel.net).
         self.net = Network(self)
@@ -230,37 +231,47 @@ class Kernel:
 
     # ------------------------------------------------------ block / wakeup
 
-    def block_lwp(self, lwp: Lwp, channel,
-                  interruptible: bool = True,
-                  indefinite: bool = False) -> None:
-        """Sleep an LWP on one wait channel, or on *several* at once
-        (select-style: the first wakeup on any of them resumes the LWP;
-        the kernel purges it from the rest)."""
+    def block_lwp(self, lwp: Lwp, block: isa.Block) -> None:
+        """Sleep an LWP as ``block`` says: on one wait channel, or on a
+        ChannelSet (select-style: the first wakeup on any member resumes
+        the LWP; the kernel purges it from the rest).  With a deadline,
+        one timer ends the sleep with :data:`~repro.hw.isa.TIMED_OUT`."""
+        channel = block.channel
         if channel is self.grave or lwp.exited:
             self._bury(lwp)
             return
-        channels = (list(channel)
-                    if isinstance(channel, (list, tuple, isa.ChannelSet))
-                    else [channel])
+        channels = (channel.channels if isinstance(channel, isa.ChannelSet)
+                    else (channel,))
         lwp.state = LwpState.SLEEPING
         lwp.channel = channels[0]
         lwp.wait_channels = channels
-        lwp.sleep_interruptible = interruptible
-        lwp.sleep_indefinite = indefinite
+        lwp.sleep_interruptible = block.interruptible
+        lwp.sleep_indefinite = block.indefinite
         lwp.sleep_since_ns = self.engine.now_ns
+        if block.deadline_ns is not None:
+            lwp.sleep_timer = self.engine.call_after(
+                block.deadline_ns - self.engine.now_ns,
+                partial(self._unblock, lwp, isa.TIMED_OUT),
+                tag="sleep-deadline")
         self.dispatcher.on_sleep(lwp)
         for chan in channels:
             chan.add(lwp)
-        if indefinite:
+        if block.indefinite:
             self._maybe_sigwaiting(lwp.process)
 
-    @staticmethod
-    def _purge_channels(lwp: Lwp) -> None:
-        """Remove a waking LWP from every channel it was parked on."""
-        for chan in getattr(lwp, "wait_channels", ()) or ():
+    def _purge_channels(self, lwp: Lwp) -> None:
+        """End a sleep, however it ends (wakeup, deadline, EINTR,
+        SA_RESTART, the LWP's death): take the LWP off every channel it
+        sleeps on and cancel its deadline."""
+        for chan in lwp.wait_channels or ():
             chan.remove(lwp)
         lwp.wait_channels = None
         lwp.channel = None
+        lwp.sleep_indefinite = False
+        timer = lwp.sleep_timer
+        if timer is not None:
+            lwp.sleep_timer = None
+            self.engine.cancel(timer)
 
     #: Minimum spacing between SIGWAITINGs to one process.  The signal is
     #: a deadlock-avoidance hint; resending it faster than the library
@@ -344,7 +355,6 @@ class Kernel:
 
     def _unblock(self, lwp: Lwp, value: Any) -> None:
         self._purge_channels(lwp)
-        lwp.sleep_indefinite = False
         lwp.process.sigwaiting_posted = False
         lwp.process.sigwaiting_streak = 0
         if self.tracer.want_sched:
@@ -379,7 +389,6 @@ class Kernel:
                 or not lwp.sleep_interruptible):
             return False
         self._purge_channels(lwp)
-        lwp.sleep_indefinite = False
         if lwp.current_activity is not None:
             lwp.current_activity.set_resume_exc(InterruptedSleep())
         if self.tracer.want_signal:
@@ -390,18 +399,19 @@ class Kernel:
 
     # -------------------------------------------------- shared sync sleeps
 
-    def shared_channel(self, key: int, label: str = "usync") -> WaitChannel:
-        """The kernel sleep queue for a process-shared sync variable.
+    def shared_channel(self, key: tuple, name: str = "usync") -> WaitChannel:
+        """The kernel sleep queue for a process-shared sync variable,
+        named ``name`` when first made.
 
-        Keyed by the identity of the underlying shared object cell, so all
-        processes mapping the object reach the same queue — the kernel-side
-        half of "synchronization variables ... mapped at different virtual
+        Keyed by the underlying shared cell itself (memory object and
+        offset, never a virtual address), so all processes mapping the
+        object reach the same queue — the kernel-side half of
+        "synchronization variables ... mapped at different virtual
         addresses".
         """
         chan = self._shared_channels.get(key)
         if chan is None:
-            chan = WaitChannel(f"{label}:{key}")
-            self._shared_channels[key] = chan
+            chan = self._shared_channels[key] = WaitChannel(name)
         return chan
 
     # ------------------------------------------------------------- signals
@@ -505,17 +515,28 @@ class Kernel:
         """Wake a sleeper, inject the handler frame above its kernel
         frame, and let the sleep restart afterwards."""
         proc = lwp.process
-        action = proc.signals.action(sig)
         activity = lwp.current_activity
         if activity is None or activity.finished:
             return
         self._purge_channels(lwp)
-        lwp.sleep_indefinite = False
         proc.sigwaiting_posted = False
         proc.signals.delivered_count[sig] += 1
         self.tracer.emit(self.engine.now_ns, "signal", "deliver-restart",
                          lwp.name, sig=sig.name)
+        frame = self._handler_frame(lwp, sig, proc.signals.action(sig))
+        # Park the sleep's resumption (a spurious-wake None) under the
+        # handler frame; when the handler returns, the kernel loop
+        # re-checks its wait condition.
+        activity.set_resume(None)
+        activity.push(frame, Mode.USER, label=f"sig_{sig.name}")
+        activity.top.saved_resume = ("value", None)
+        self.dispatcher.make_runnable(lwp)
 
+    @staticmethod
+    def _handler_frame(lwp: Lwp, sig: Sig, action):
+        """Block the handler's mask plus ``sig`` now, per sigaction
+        semantics, and return the user frame that runs the handler and
+        then restores the old mask."""
         old_mask = lwp.sigmask
         during = old_mask.union(action.mask)
         during.add(sig)
@@ -528,16 +549,7 @@ class Kernel:
                 lwp.sigmask = old_mask
             return result
 
-        # Park the sleep's resumption (a spurious-wake None) under the
-        # handler frame; when the handler returns, the kernel loop
-        # re-checks its wait condition.
-        activity.set_resume(None)
-        saved = ("value", None)
-        activity.resume_value = None
-        from repro.hw.context import Mode
-        activity.push(handler_body(), Mode.USER, label=f"sig_{sig.name}")
-        activity.top.saved_resume = saved
-        self.dispatcher.make_runnable(lwp)
+        return handler_body()
 
     def kernel_exit_check(self, ctx: ExecContext) -> None:
         """Deliver one deliverable pending signal at the kernel/user
@@ -585,21 +597,8 @@ class Kernel:
         activity = lwp.current_activity
         if activity is None or activity.finished:
             return
-        # Block the handler's mask plus the signal itself for the duration,
-        # per sigaction semantics; restore on return.
-        old_mask = lwp.sigmask
-        during = old_mask.union(action.mask)
-        during.add(sig)
-        lwp.sigmask = during
-
-        def handler_body():
-            try:
-                result = yield from as_generator(action.handler, int(sig))
-            finally:
-                lwp.sigmask = old_mask
-            return result
-
-        ctx.cpu.inject_user_frame(activity, handler_body(),
+        ctx.cpu.inject_user_frame(activity,
+                                  self._handler_frame(lwp, sig, action),
                                   label=f"sig_{sig.name}")
 
     # ----------------------------------------------------- timers / limits

@@ -123,6 +123,9 @@ class Lwp:
         self.sleep_indefinite = False
         # Virtual time the current sleep began (hang diagnostics).
         self.sleep_since_ns: Optional[int] = None
+        # The engine event that ends a sleep with a deadline (Block's
+        # deadline_ns); cancelled by whatever else ends the sleep first.
+        self.sleep_timer = None
         # Virtual time this LWP last entered the run queue; set only
         # when metrics are attached (dispatch-latency histogram).
         self.ready_since_ns: Optional[int] = None

@@ -25,10 +25,11 @@ Overload semantics are deliberate and deterministic:
   ``ECONNABORTED``.
 
 Wait channels are named after the socket (``sockaccept:<port>``,
-``sockrecv:<sock>``, ``socksend:<sock>``) and registered with the
-:class:`Network`, so the wait-for-graph walker
-(:mod:`repro.analysis.waitgraph`) can name the socket, its peer, and the
-backlog depth when diagnosing an LWP stuck in ``accept``/``recv``.
+``sockrecv:<sock>``, ``socksend:<sock>``) and name it as their owner, so
+the wait-for-graph walker (:mod:`repro.analysis.waitgraph`) can name the
+socket, its peer, and the backlog depth
+(:meth:`Socket.wait_annotation`) when diagnosing an LWP stuck in
+``accept``/``recv``.
 """
 
 from __future__ import annotations
@@ -163,8 +164,6 @@ class Network:
         self.ports: dict[int, Socket] = {}
         self._next_conn = 0
         self._next_sock = 0
-        # id(WaitChannel) -> Socket, for waitgraph attribution.
-        self.by_channel: dict[int, Socket] = {}
         # Machine-wide overload counters (mirrored into repro.obs when a
         # metrics registry is attached).
         self.backlog_drops = 0
@@ -176,25 +175,6 @@ class Network:
         self._next_sock += 1
         return self.kernel.vfs.numbered(
             Socket(f"sock:{pid}.{self._next_sock}", owner_pid=pid))
-
-    def _register(self, chan: WaitChannel, sock: Socket) -> WaitChannel:
-        self.by_channel[id(chan)] = sock
-        return chan
-
-    def _unregister(self, sock: Socket) -> None:
-        """Drop waitgraph bookkeeping for a closed socket's channels.
-
-        Without this, every short-lived connection leaks four
-        ``by_channel`` entries (and pins both endpoint objects) for the
-        rest of the run — fatal at load-generator scale (10^5–10^6
-        connections).  Closed channels can no longer host a blocked
-        waiter for the waitgraph to attribute, so the entries are dead
-        weight by construction.
-        """
-        for chan in (sock.read_channel, sock.space_channel,
-                     sock.accept_channel):
-            if chan is not None:
-                self.by_channel.pop(id(chan), None)
 
     # -------------------------------------------------------- readiness
 
@@ -254,8 +234,7 @@ class Network:
                                f"socket is {sock.state}")
         sock.state = S_LISTENING
         sock.backlog_limit = max(1, backlog)
-        sock.accept_channel = self._register(
-            WaitChannel(f"sockaccept:{sock.port}"), sock)
+        sock.accept_channel = WaitChannel(f"sockaccept:{sock.port}", sock)
 
     # ---------------------------------------------------------- connect
 
@@ -296,10 +275,8 @@ class Network:
         for sock, peer in ((a, b), (b, a)):
             sock.peer = peer
             sock.state = S_ESTABLISHED
-            sock.read_channel = self._register(
-                WaitChannel(f"sockrecv:{sock.name}"), sock)
-            sock.space_channel = self._register(
-                WaitChannel(f"socksend:{sock.name}"), sock)
+            sock.read_channel = WaitChannel(f"sockrecv:{sock.name}", sock)
+            sock.space_channel = WaitChannel(f"socksend:{sock.name}", sock)
 
     # ------------------------------------------------------- reset/close
 
@@ -316,7 +293,6 @@ class Network:
             end.state = S_RESET
             end.rbuf.clear()
             self._wake_all(end)
-            self._unregister(end)
             self.mark_readable(end)
 
     def _wake_all(self, sock: Socket) -> None:
@@ -337,7 +313,6 @@ class Network:
             while sock.backlog:
                 self.reset_connection(sock.backlog.popleft())
             self._wake_all(sock)
-            self._unregister(sock)
             self.mark_readable(sock)
             return
         if sock.state is S_BOUND:
@@ -356,20 +331,4 @@ class Network:
         else:
             sock.state = S_CLOSED
         self._wake_all(sock)
-        self._unregister(sock)
         self.mark_readable(sock)
-
-    # ------------------------------------------------------ diagnostics
-
-    def annotate_channel(self, channel) -> Optional[str]:
-        """Socket annotation for a wait channel (or ChannelSet), used by
-        the waitgraph renderer; None when no member is a socket wait."""
-        members = getattr(channel, "channels", None)
-        if members is None:
-            members = (channel,)
-        notes = []
-        for chan in members:
-            sock = self.by_channel.get(id(chan))
-            if sock is not None:
-                notes.append(sock.wait_annotation())
-        return "; ".join(notes) if notes else None

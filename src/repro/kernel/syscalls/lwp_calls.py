@@ -10,7 +10,7 @@ the kernel half of process-shared synchronization sleeps.
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Block, Charge, WaitChannel, charge
+from repro.hw.isa import TIMED_OUT, Block, Charge, WaitChannel, charge
 from repro.kernel.lwp import LwpState, SchedClass, PRIO_MAX, PRIO_MIN
 from repro.kernel.sched.policy import GangGroup
 from repro.kernel.syscalls import syscall
@@ -227,15 +227,18 @@ def sys_priocntl(ctx, cmd: int, lwp_id: int = 0, arg=None):
     raise SyscallError(Errno.EINVAL, "priocntl", f"cmd {cmd}")
 
 
-def _cell_key(mobj, offset: int) -> tuple:
-    """Identity of a shared synchronization cell.
+def _cell_channel(ctx, mobj, offset: int, label: str):
+    """The kernel sleep queue of a shared synchronization cell.
 
     Keyed by the underlying memory *object*, not any virtual address, so
     processes that map the same file at different addresses reach the same
     kernel sleep queue — "synchronization variables may be shared between
     processes even though they are mapped at different virtual addresses".
+    Named from the label, the object's name and the offset, so a hang
+    report reads the same in every run.
     """
-    return (id(mobj), offset)
+    return ctx.kernel.shared_channel((mobj, offset),
+                                     f"{label}:{mobj.name}+{offset}")
 
 
 @syscall("usync_block")
@@ -258,24 +261,12 @@ def sys_usync_block(ctx, mobj, offset: int, expected,
     yield charge(ctx.costs.shared_sync_service)
     if mobj.load_cell(offset) != expected:
         return 1
-    kernel = ctx.kernel
-    chan = kernel.shared_channel(_cell_key(mobj, offset), label=label)
+    chan = _cell_channel(ctx, mobj, offset, label)
     if timeout_ns is None:
         yield Block(chan, interruptible=True, indefinite=True)
         return 0
-    lwp = ctx.lwp
-
-    def on_timeout():
-        if lwp in chan.waiters:
-            kernel.unblock_lwp(lwp, value="timeout")
-
-    timer = kernel.engine.call_after(timeout_ns, on_timeout,
-                                     tag="usync-timeout")
-    try:
-        value = yield Block(chan, interruptible=True)
-    finally:
-        kernel.engine.cancel(timer)
-    return 2 if value == "timeout" else 0
+    value = yield Block(chan, deadline_ns=ctx.engine.now_ns + timeout_ns)
+    return 2 if value is TIMED_OUT else 0
 
 
 @syscall("usync_wake")
@@ -284,7 +275,7 @@ def sys_usync_wake(ctx, mobj, offset: int, count: int = 1,
     """Wake sleepers on a process-shared sync variable; returns the number
     woken."""
     yield charge(ctx.costs.shared_sync_service)
-    chan = ctx.kernel.shared_channel(_cell_key(mobj, offset), label=label)
+    chan = _cell_channel(ctx, mobj, offset, label)
     woken = 0
     while woken < count:
         if ctx.kernel.wakeup_one(chan, value=0) is None:
@@ -297,7 +288,7 @@ def sys_usync_wake(ctx, mobj, offset: int, count: int = 1,
 @syscall("usync_wake_all")
 def sys_usync_wake_all(ctx, mobj, offset: int, label: str = "usync"):
     yield charge(ctx.costs.shared_sync_service)
-    chan = ctx.kernel.shared_channel(_cell_key(mobj, offset), label=label)
+    chan = _cell_channel(ctx, mobj, offset, label)
     n = ctx.kernel.wakeup_all(chan, value=0)
     yield Charge(ctx.costs.kernel_wakeup * n)
     return n

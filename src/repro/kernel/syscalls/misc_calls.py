@@ -162,12 +162,6 @@ def _select_sockets(ctx, opens, deadline):
     socks = [of.inode for _fd, of in opens]
     for sock in socks:
         sock.watchers.append(on_ready)
-    timer_event = None
-    if deadline is not None:
-        timer_event = kernel.engine.call_after(
-            max(0, deadline - kernel.engine.now_ns),
-            lambda: kernel.wakeup_one(chan) if chan.waiters else None,
-            tag="select-timeout")
     try:
         ready = [fd for fd, of in opens if _readable_now(of.inode)]
         while not ready:
@@ -178,12 +172,10 @@ def _select_sockets(ctx, opens, deadline):
                 continue
             if deadline is not None and kernel.engine.now_ns >= deadline:
                 return []
-            yield Block(chan, interruptible=True,
-                        indefinite=deadline is None)
+            yield Block(chan, indefinite=deadline is None,
+                        deadline_ns=deadline)
         return ready
     finally:
-        if timer_event is not None:
-            kernel.engine.cancel(timer_event)
         for sock in socks:
             try:
                 sock.watchers.remove(on_ready)
@@ -222,23 +214,10 @@ def sys_select(ctx, fds, timeout_ns=None):
             chan = _read_channel_of(of.inode)
             if chan is not None and chan not in channels:
                 channels.append(chan)
-        timer_event = None
-        if deadline is not None:
-            tchan = WaitChannel(f"{ctx.lwp.name}:selecttmo")
-            channels.append(tchan)
-            timer_event = kernel.engine.call_after(
-                deadline - kernel.engine.now_ns,
-                lambda: kernel.wakeup_one(tchan) if tchan.waiters
-                else None,
-                tag="select-timeout")
         if not channels:
             return []
-        try:
-            yield Block(channels, interruptible=True,
-                        indefinite=deadline is None)
-        finally:
-            if timer_event is not None:
-                kernel.engine.cancel(timer_event)
+        yield Block(channels, indefinite=deadline is None,
+                    deadline_ns=deadline)
 
 
 @syscall("yield")

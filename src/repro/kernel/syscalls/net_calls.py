@@ -42,17 +42,6 @@ def _conn_of(ctx, fd: int, call: str) -> tuple:
     return of, sock
 
 
-def _timed_sleep(ctx, delay_ns: int, tag: str):
-    """Sleep the calling LWP for ``delay_ns`` (interruptible)."""
-    kernel = ctx.kernel
-    tchan = WaitChannel(f"{ctx.lwp.name}:{tag}")
-    kernel.engine.call_after(
-        delay_ns,
-        lambda: kernel.wakeup_one(tchan) if tchan.waiters else None,
-        tag=tag)
-    yield Block(tchan, interruptible=True)
-
-
 @syscall("socket")
 def sys_socket(ctx, flags: int = 0):
     """Create a stream socket; returns the descriptor.
@@ -94,8 +83,9 @@ def sys_connect(ctx, fd: int, port: int):
         if rule is not None:
             if rule.mode == "timeout":
                 # The SYN vanished: wait out the handshake timer.
-                yield from _timed_sleep(ctx, usec(rule.timeout_usec),
-                                        "connect-timeout")
+                yield Block(WaitChannel(f"{ctx.lwp.name}:connect-timeout"),
+                            deadline_ns=kernel.engine.now_ns
+                            + usec(rule.timeout_usec))
                 raise SyscallError(Errno.ETIMEDOUT, "connect",
                                    f"port {port}: injected drop")
             raise SyscallError(Errno.ECONNREFUSED, "connect",
@@ -122,7 +112,8 @@ def sys_accept(ctx, fd: int):
     if kernel.faults is not None:
         stall_ns = kernel.faults.net_accept_stall_ns(sock.port)
         if stall_ns:
-            yield from _timed_sleep(ctx, stall_ns, "accept-stall")
+            yield Block(WaitChannel(f"{ctx.lwp.name}:accept-stall"),
+                        deadline_ns=kernel.engine.now_ns + stall_ns)
     while not sock.backlog:
         if sock.state is not S_LISTENING:
             raise SyscallError(Errno.ECONNABORTED, "accept",

@@ -11,7 +11,7 @@ invisible, so cross-process thread signaling is impossible by design.
 from __future__ import annotations
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Block, charge
+from repro.hw.isa import Block, WaitChannel, charge
 from repro.kernel.signals import (SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK,
                                   Sig, Sigset)
 from repro.kernel.syscalls import syscall
@@ -157,7 +157,7 @@ def sys_sigsuspend(ctx, mask: Sigset):
     lwp = ctx.lwp
     old = lwp.sigmask
     lwp.sigmask = mask.apply(SIG_SETMASK, mask)
-    chan = ctx.kernel.shared_channel(id(lwp), label="sigsuspend")
+    chan = WaitChannel(f"{lwp.name}:sigsuspend")
     try:
         while True:
             # A plain (value) resume is a restart-spurious wake: go back
@@ -171,6 +171,6 @@ def sys_sigsuspend(ctx, mask: Sigset):
 @syscall("pause")
 def sys_pause(ctx):
     """Sleep until a (non-restarting) signal arrives; returns EINTR."""
-    chan = ctx.kernel.shared_channel(id(ctx.lwp), label="pause")
+    chan = WaitChannel(f"{ctx.lwp.name}:pause")
     while True:
         yield Block(chan, interruptible=True, indefinite=True)

@@ -38,29 +38,15 @@ def sys_nanosleep(ctx, duration_ns: int):
         raise SyscallError(Errno.EINVAL, "nanosleep")
     yield charge(ctx.costs.syscall_service_trivial)
     kernel = ctx.kernel
-    lwp = ctx.lwp
     if kernel.faults is not None:
         # Injected timer jitter: the wakeup arrives late, as on a busy
         # machine.  Deterministic (seeded stream).
         duration_ns += kernel.faults.timer_jitter_ns()
-    chan = WaitChannel(f"{lwp.name}:nanosleep")
+    chan = WaitChannel(f"{ctx.lwp.name}:nanosleep")
     deadline = kernel.engine.now_ns + duration_ns
     while kernel.engine.now_ns < deadline:
-        remaining = deadline - kernel.engine.now_ns
-        wake = kernel.engine.call_after(
-            remaining,
-            lambda: kernel.wakeup_one(chan, value="timer")
-            if chan.waiters else None,
-            tag="nanosleep")
-        try:
-            value = yield Block(chan, interruptible=True)
-        except BaseException:
-            kernel.engine.cancel(wake)
-            raise
-        kernel.engine.cancel(wake)
-        if value == "timer":
-            break
-        # Spurious (restart) wake: loop and sleep out the remainder.
+        # A spurious (restart) wake sleeps out the remainder.
+        yield Block(chan, deadline_ns=deadline)
     return 0
 
 

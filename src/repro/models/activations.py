@@ -18,7 +18,7 @@ the reaction latency and LWP-count behaviour of the two policies.
 
 from __future__ import annotations
 
-from repro.hw.isa import GetContext
+from repro.hw.isa import Block, GetContext
 from repro.kernel.kernel import Kernel
 from repro.kernel.lwp import Lwp
 from repro.kernel.process import Process
@@ -39,10 +39,8 @@ def enable(kernel: Kernel, proc: Process) -> None:
     kernel._activations_hooked = True
     original_block = kernel.block_lwp
 
-    def block_with_upcall(lwp: Lwp, channel, interruptible=True,
-                          indefinite=False):
-        original_block(lwp, channel, interruptible=interruptible,
-                       indefinite=indefinite)
+    def block_with_upcall(lwp: Lwp, block: Block):
+        original_block(lwp, block)
         proc_of = lwp.process
         if getattr(proc_of, "scheduler_activations", False):
             _upcall(kernel, proc_of)

@@ -78,6 +78,7 @@ def thread_create(func, arg: Any = None, flags: int = 0,
     """
     ctx = yield GetContext()
     lib = ctx.process.threadlib
+    lib.check_flags(flags)
     creator = ctx.thread
     costs = ctx.costs
     metrics = ctx.engine.metrics
@@ -354,6 +355,8 @@ def thread_setconcurrency(n: int):
     lib = ctx.process.threadlib
     if n < 0:
         raise ThreadError("concurrency must be >= 0")
+    if n > len(lib.pool_lwps):
+        lib.check_flags(THREAD_NEW_LWP)
     yield Charge(lib.costs.sync_user_op)
     lib.concurrency_target = n
     if n == 0:

@@ -34,7 +34,8 @@ from typing import Any, Callable, Optional
 
 from repro.errors import Errno, LwpExhausted, SyscallError, ThreadError
 from repro.hw.context import Activity, as_generator
-from repro.hw.isa import GET_CONTEXT, Charge, SwitchTo, Syscall, charge
+from repro.hw.isa import (GET_CONTEXT, TIMED_OUT, Charge, SwitchTo,
+                          Syscall, charge)
 from repro.kernel.signals import Disposition, Sig
 from repro.threads.backoff import lwp_create_backoff
 from repro.threads.stack import StackAllocator
@@ -51,9 +52,6 @@ KEEP_VALUE = object()
 
 #: Returned by block_current_on when the guard predicate vetoed the sleep.
 NO_SLEEP = object()
-
-#: Returned by a timed block_current_on when the deadline passed first.
-TIMED_OUT = object()
 
 
 class _ThreadRunQueue:
@@ -197,6 +195,12 @@ class ThreadsLibrary:
         return sum(1 for t in self.threads.values() if not t.exited)
 
     # ================================================== LWP bookkeeping
+
+    def check_flags(self, flags: int) -> None:
+        """Raise ThreadError for ``thread_create`` flags this library
+        cannot honour (``thread_setconcurrency`` asks for
+        ``THREAD_NEW_LWP`` when it would grow the pool); this library
+        honours them all."""
 
     def register_pool_lwp(self, lwp) -> None:
         self.pool_lwps[lwp.lwp_id] = lwp

@@ -5,6 +5,10 @@ DeadlockError carries a report naming every blocked thread, the resource
 it waits on, who holds it, since when — and the cycle, when there is one.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import DeadlockError
@@ -195,3 +199,58 @@ class TestDiagnoseHang:
         assert "held by" in report
         sim.run()  # finishes cleanly
         assert state.get("done")
+
+
+def _pauser():
+    from repro.runtime import unistd
+    yield from unistd.pause()
+
+
+def _pause_main():
+    from repro.runtime import unistd
+    pid = yield from unistd.fork1(_pauser)
+    yield from unistd.waitpid(pid)
+
+
+def _shared_sema_main():
+    from repro.runtime import mapped
+    from repro.sync import Semaphore, THREAD_SYNC_SHARED
+    region = yield from mapped.map_shared_file("/tmp/gate", 4096)
+    gate = Semaphore(0, THREAD_SYNC_SHARED, cell=region.cell(0),
+                     name="gate")
+    yield from gate.p()
+
+
+def print_hang_reports():
+    """Print the DeadlockError text of a child stuck in pause() and of
+    a process stuck on a process-shared semaphore (run in a fresh
+    interpreter by the test below)."""
+    for main in (_pause_main, _shared_sema_main):
+        with pytest.raises(DeadlockError) as exc:
+            run_program(main)
+        print(exc.value)
+
+
+class TestReportIsTheSameInEveryProcess:
+    def test_kernel_channel_names_carry_no_host_address(self):
+        """Channel names become ``RunResult.hang`` and repro bundles, so
+        two interpreters must print the same report: the pause() sleep
+        is named after its LWP, the usync sleep after the shared
+        object and offset."""
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), root]))
+
+        def report():
+            return subprocess.run(
+                [sys.executable, "-c",
+                 "from tests.faults.test_deadlock_report import "
+                 "print_hang_reports; print_hang_reports()"],
+                cwd=root, env=env, capture_output=True, text=True,
+                check=True).stdout
+
+        first = report()
+        assert "on channel 'lwp-2.1:pause'" in first
+        assert "on channel 'sema:gate:file:gate+0'" in first
+        assert report() == first

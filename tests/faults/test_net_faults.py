@@ -54,7 +54,7 @@ class TestConnDrop:
         plan = FaultPlan([ConnDrop(port=PORT, mode="timeout",
                                    timeout_usec=4_000.0)])
         run_program(main, faults=plan)
-        assert (stamps["end"] - stamps["start"]) / 1000.0 >= 4_000.0
+        assert 4_000.0 <= (stamps["end"] - stamps["start"]) / 1000.0 < 4_500.0
 
     def test_other_ports_unaffected(self):
         def main():
@@ -80,7 +80,7 @@ class TestAcceptStall:
 
         plan = FaultPlan([AcceptStall(port=PORT, stall_usec=3_000.0)])
         run_program(main, faults=plan)
-        assert (stamps["end"] - stamps["start"]) / 1000.0 >= 3_000.0
+        assert 3_000.0 <= (stamps["end"] - stamps["start"]) / 1000.0 < 3_500.0
         # The connection still lands: a stall is pressure, not loss.
 
 

@@ -1,29 +1,28 @@
 """Wait-channel naming: the uniform ``name`` protocol for Block traces.
 
-Single channels, select-style groups, and the legacy raw-list form must
-all render through :func:`repro.hw.isa.channel_name` without isinstance
-dispatch at trace sites.
+Single channels, select-style groups, and the raw lists a Block turns
+into groups all carry ``.name``, so trace sites and hang reports read it
+without isinstance dispatch.
 """
 
-from repro.hw.isa import Block, ChannelSet, WaitChannel, channel_name
+from repro.hw.isa import Block, ChannelSet, WaitChannel
 
 
 class TestChannelName:
     def test_single_channel(self):
-        assert channel_name(WaitChannel("mutex-1")) == "mutex-1"
+        assert WaitChannel("mutex-1").name == "mutex-1"
 
     def test_channel_set_joins_members(self):
         cs = ChannelSet([WaitChannel("a"), WaitChannel("b")])
         assert cs.name == "a,b"
-        assert channel_name(cs) == "a,b"
 
     def test_raw_list_fallback(self):
         chans = [WaitChannel("x"), WaitChannel("y")]
-        assert channel_name(chans) == "x,y"
-        assert channel_name(tuple(chans)) == "x,y"
+        assert Block(chans).channel.name == "x,y"
+        assert Block(tuple(chans)).channel.name == "x,y"
 
     def test_empty_set(self):
-        assert channel_name(ChannelSet([])) == ""
+        assert ChannelSet([]).name == ""
 
 
 class TestChannelSet:

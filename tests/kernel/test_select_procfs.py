@@ -65,6 +65,29 @@ class TestSelect:
         run_program(main)
         assert got == [True]
 
+    @pytest.mark.parametrize("kind", ["socket", "pipe"])
+    def test_timeout_ends_the_sleep_at_the_deadline(self, kind):
+        """Both select paths (all-socket and generic) sleep until the
+        deadline and return []."""
+        got = []
+
+        def main():
+            if kind == "socket":
+                fd = yield from unistd.socket()
+                yield from unistd.bind(fd, 6400)
+                yield from unistd.listen(fd, 4)
+            else:
+                fd, _wfd = yield from unistd.pipe()
+            t0 = yield from unistd.gettimeofday()
+            r = yield from unistd.select([fd], timeout_ns=3_000_000)
+            t1 = yield from unistd.gettimeofday()
+            got.append((r, t1 - t0))
+
+        run_program(main)
+        [(ready, elapsed)] = got
+        assert ready == []
+        assert 3_000_000 <= elapsed < 3_500_000
+
     def test_zero_timeout_is_probe(self):
         got = []
 

@@ -179,6 +179,22 @@ class TestUsync:
         run_program(main)
         assert got == [1]
 
+    def test_timed_block_returns_2_at_the_deadline(self):
+        got = []
+
+        def main():
+            from repro.hw.isa import GetContext
+            ctx = yield GetContext()
+            mobj = ctx.kernel.machine.memory.allocate(4096, resident=True)
+            t0 = yield from unistd.gettimeofday()
+            result = yield Syscall("usync_block", mobj, 0, 0,
+                                   timeout_ns=usec(500))
+            t1 = yield from unistd.gettimeofday()
+            got.append((result, t1 - t0 >= usec(500)))
+
+        run_program(main)
+        assert got == [(2, True)]
+
     def test_wake_returns_count(self):
         got = []
 

@@ -10,6 +10,7 @@ port namespace, not an interface.
 import pytest
 
 from repro.errors import Errno, SyscallError
+from repro.hw.isa import GetContext
 from repro.kernel.fs.file import O_NONBLOCK
 from repro.kernel.signals import SIG_IGN, Sig
 from repro.runtime import unistd
@@ -235,6 +236,29 @@ class TestNonBlockingAndSelect:
         assert got["idle"] == []
         assert got["pending"] != []
         assert got["readable"] != []
+
+    def test_timed_select_on_a_ready_socket_arms_no_timer(self):
+        """A select that finds its socket readable never sleeps, so its
+        timeout costs nothing: it takes exactly the event-queue sequence
+        numbers the untimed call takes."""
+        def seqs_taken(timeout_ns):
+            got = {}
+
+            def main():
+                lfd = yield from _listener()
+                fd = yield from unistd.socket()
+                yield from unistd.connect(fd, PORT)
+                ctx = yield GetContext()
+                before = ctx.engine.queue._seq
+                ready = yield from unistd.select([lfd], timeout_ns=timeout_ns)
+                got["seqs"] = ctx.engine.queue._seq - before
+                got["ready"] = ready == [lfd]
+
+            run_program(main)
+            assert got["ready"]
+            return got["seqs"]
+
+        assert seqs_taken(1_000_000) == seqs_taken(None)
 
     def test_shutdown_write_delivers_eof_not_reset(self):
         got = {}

@@ -283,7 +283,7 @@ class TestInterruption:
             yield from unistd.sigaction(int(Sig.SIGUSR1), handler,
                                         restart=True)
             t0 = yield from unistd.gettimeofday()
-            yield from unistd.nanosleep(usec(50_000))
+            got["ret"] = yield from unistd.nanosleep(usec(50_000))
             t1 = yield from unistd.gettimeofday()
             got["slept_usec"] = (t1 - t0) / 1000
 
@@ -295,7 +295,8 @@ class TestInterruption:
 
         run_program(main)
         assert hits  # the handler did run
-        assert got["slept_usec"] >= 50_000  # and the sleep completed
+        assert got["ret"] == 0
+        assert 50_000 <= got["slept_usec"] < 50_500  # the sleep completed
 
 
 class TestCountedDelivery:

@@ -52,6 +52,27 @@ class TestTime:
         run_program(main)
         assert caught == [Errno.EINVAL]
 
+    def test_exit_cancels_a_sleeping_lwps_deadline(self):
+        """A process that exits while one of its LWPs sleeps in
+        nanosleep ends the run at its exit: the sleep's timer dies with
+        the LWP instead of running the clock on to its deadline."""
+        got = {}
+
+        def sleeper(_):
+            got["asleep_at"] = yield from unistd.gettimeofday()
+            yield from unistd.nanosleep(usec(10_000))
+
+        def main():
+            yield from threads.thread_create(
+                sleeper, None, flags=threads.THREAD_BIND_LWP)
+            yield Charge(usec(4_000))
+            got["exit_at"] = yield from unistd.gettimeofday()
+            yield from unistd.exit(0)
+
+        sim, _ = run_program(main, ncpus=2)
+        assert got["asleep_at"] < got["exit_at"]
+        assert sim.engine.now_ns < got["asleep_at"] + usec(10_000)
+
 
 class TestIntervalTimers:
     def test_real_timer_sends_sigalrm(self):

@@ -76,15 +76,23 @@ class TestLiblwp:
         sim.run()
 
     def test_lwp_flags_rejected(self):
-        lib_holder = {}
+        """One LWP, ever: every way to ask for another raises."""
+        got = {}
+
+        def body(_):
+            yield Charge(usec(1))
 
         def main():
             ctx = yield GetContext()
-            lib_holder["lib"] = ctx.process.threadlib
+            for flags in (threads.THREAD_BIND_LWP, threads.THREAD_NEW_LWP):
+                with pytest.raises(ThreadError):
+                    yield from threads.thread_create(body, None, flags=flags)
+            with pytest.raises(ThreadError):
+                yield from threads.thread_setconcurrency(3)
+            got["lwps"] = len(ctx.process.live_lwps())
 
         run_program(main, runtime_factory=liblwp.bootstrap_process)
-        with pytest.raises(ThreadError):
-            lib_holder["lib"].check_flags(threads.THREAD_BIND_LWP)
+        assert got["lwps"] == 1
 
     def test_nbio_read_lets_other_threads_run(self):
         """The paper's mitigation: a non-blocking I/O library keeps the
@@ -157,11 +165,13 @@ class TestKernelOnly:
 class TestActivations:
     def test_upcall_on_any_block(self):
         """Activations react to a *bounded* kernel block (nanosleep),
-        which SIGWAITING would ignore."""
+        which SIGWAITING would ignore, and the block keeps its deadline."""
         got = {}
 
         def sleeper(_):
+            t0 = yield from unistd.gettimeofday()
             yield from unistd.sleep_usec(30_000)
+            got["slept"] = (yield from unistd.gettimeofday()) - t0
 
         def compute(_):
             yield Charge(usec(500))
@@ -182,6 +192,7 @@ class TestActivations:
         # compute ran long before the sleeper's 30ms block ended.
         assert got["computed_at"] < usec(30_000)
         assert got["pool"] >= 2
+        assert usec(30_000) <= got["slept"] < usec(31_000)
 
     def test_sigwaiting_alone_is_coarser(self):
         """Same scenario without activations: the bounded sleep never

@@ -60,6 +60,8 @@ OPS = st.one_of(
     st.just(("badread",)),
     # Up to 1.5 pipe buffers, so either side may block.
     st.tuples(st.just("pipe"), st.integers(1, 12_288)),
+    # A select on an empty pipe: the generic path sleeps to its deadline.
+    st.tuples(st.just("select"), st.integers(1, 30)),
     # A caught signal to self, delivered at the kill's syscall exit.
     st.just(("signal",)),
     # The first touch of a page faults: a "pagefault" kernel frame.
@@ -109,6 +111,11 @@ def _body(arg):
                 flags=threads.THREAD_WAIT | threads.THREAD_BIND_LWP)
             yield from unistd.write(wfd, b"p" * op[1])
             yield from threads.thread_wait(tid)
+            yield from unistd.close(wfd)
+            yield from unistd.close(rfd)
+        elif kind == "select":
+            rfd, wfd = yield from unistd.pipe()
+            yield from unistd.select([rfd], timeout_ns=usec(op[1]))
             yield from unistd.close(wfd)
             yield from unistd.close(rfd)
         elif kind == "signal":

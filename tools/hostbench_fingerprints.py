@@ -9,8 +9,9 @@ hashes a pass's virtual-time outputs, so it pins "same behaviour" on the
 benchmark: a host-speed change must leave all six unchanged.
 
 Run:  python tools/hostbench_fingerprints.py > hostbench-fingerprints.json
-      cmp hostbench-fingerprints.json tests/hostbench_fingerprints.json
-The CI ``golden-digests`` job runs this comparison (about 15 s).
+      diff -u tests/hostbench_fingerprints.json hostbench-fingerprints.json
+The CI ``golden-digests`` job runs this comparison (about 15 s); the diff
+names the workload and seed of every fingerprint that moved.
 """
 
 from __future__ import annotations
