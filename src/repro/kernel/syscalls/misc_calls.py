@@ -148,9 +148,13 @@ def _select_sockets(ctx, opens, deadline):
     (:meth:`repro.kernel.net.Network.mark_readable`), so a wakeup only
     touches the sockets that actually changed.  The full fd-order scan
     runs once on entry and once per successful return, preserving the
-    generic path's result order exactly.
+    generic path's result order exactly.  Only a call that sleeps
+    registers anything.
     """
     kernel = ctx.kernel
+    ready = [fd for fd, of in opens if _readable_now(of.inode)]
+    if ready or (deadline is not None and kernel.engine.now_ns >= deadline):
+        return ready
     chan = WaitChannel(f"{ctx.lwp.name}:select")
     pending: list = []
 
@@ -163,7 +167,6 @@ def _select_sockets(ctx, opens, deadline):
     for sock in socks:
         sock.watchers.append(on_ready)
     try:
-        ready = [fd for fd, of in opens if _readable_now(of.inode)]
         while not ready:
             hot = {id(s) for s in pending if s.recv_ready()}
             pending.clear()

@@ -83,9 +83,10 @@ def sys_connect(ctx, fd: int, port: int):
         if rule is not None:
             if rule.mode == "timeout":
                 # The SYN vanished: wait out the handshake timer.
-                yield Block(WaitChannel(f"{ctx.lwp.name}:connect-timeout"),
-                            deadline_ns=kernel.engine.now_ns
-                            + usec(rule.timeout_usec))
+                chan = WaitChannel(f"{ctx.lwp.name}:connect-timeout")
+                deadline = kernel.engine.now_ns + usec(rule.timeout_usec)
+                while kernel.engine.now_ns < deadline:
+                    yield Block(chan, deadline_ns=deadline)
                 raise SyscallError(Errno.ETIMEDOUT, "connect",
                                    f"port {port}: injected drop")
             raise SyscallError(Errno.ECONNREFUSED, "connect",
@@ -112,8 +113,10 @@ def sys_accept(ctx, fd: int):
     if kernel.faults is not None:
         stall_ns = kernel.faults.net_accept_stall_ns(sock.port)
         if stall_ns:
-            yield Block(WaitChannel(f"{ctx.lwp.name}:accept-stall"),
-                        deadline_ns=kernel.engine.now_ns + stall_ns)
+            chan = WaitChannel(f"{ctx.lwp.name}:accept-stall")
+            deadline = kernel.engine.now_ns + stall_ns
+            while kernel.engine.now_ns < deadline:
+                yield Block(chan, deadline_ns=deadline)
     while not sock.backlog:
         if sock.state is not S_LISTENING:
             raise SyscallError(Errno.ECONNABORTED, "accept",

@@ -21,27 +21,18 @@ The mitigating non-blocking I/O library is provided too
 from __future__ import annotations
 
 from repro.errors import ThreadError
-from repro.hw.context import Activity
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
-from repro.kernel.signals import Sigset
 from repro.runtime import unistd
 from repro.threads import api as thread_api
-from repro.threads.api import _thread_body
 from repro.threads.backoff import retry_on_eagain
+from repro.threads.runtime import start_process
 from repro.threads.scheduler import ThreadsLibrary
-from repro.threads.thread import (THREAD_BIND_LWP, THREAD_NEW_LWP, Thread,
-                                  ThreadState)
-from repro.threads.tls import TlsBlock
+from repro.threads.thread import THREAD_BIND_LWP, THREAD_NEW_LWP
 
 
 class LiblwpLibrary(ThreadsLibrary):
     """A ThreadsLibrary restricted to SunOS 4.0 liblwp semantics."""
-
-    def sigwaiting_handler(self, sig: int):
-        """liblwp has no kernel cooperation; nothing grows the pool."""
-        return
-        yield  # pragma: no cover
 
     def check_flags(self, flags: int) -> None:
         if flags & (THREAD_BIND_LWP | THREAD_NEW_LWP):
@@ -58,37 +49,10 @@ def install(kernel: Kernel) -> None:
 def bootstrap_process(kernel: Kernel, proc: Process, main, args: tuple,
                       extra_lwps: int = 0) -> LiblwpLibrary:
     """liblwp bootstrap: one LWP, ever.  ``extra_lwps`` is ignored —
-    SunOS 4.0 had nothing to duplicate."""
-    lib = LiblwpLibrary(proc, kernel.costs, kernel.engine)
-    proc.threadlib = lib
-    # Deliberately: no SIGWAITING handler (default action is ignore).
-
-    thread = Thread(
-        lib.new_thread_id(), _main_of(main, args), None,
-        stack=lib.stack_alloc.allocate(),
-        tls_block=TlsBlock(lib.tls_layout),
-        priority=30,
-        sigmask=Sigset(),
-        waitable=False,
-        bound=False)
-    thread.activity = Activity(_thread_body(lib, thread),
-                               name=f"pid{proc.pid}-liblwp-main")
-    lib.threads[thread.thread_id] = thread
-    lib.threads_created += 1
-    lwp = kernel.create_lwp(proc, thread.activity)
-    lib.register_pool_lwp(lwp)
-    lwp.current_thread = thread
-    thread.lwp = lwp
-    thread.state = ThreadState.RUNNING
-    return lib
-
-
-def _main_of(main, args: tuple):
-    def body(_arg):
-        from repro.hw.context import as_generator
-        result = yield from as_generator(main, *args)
-        return result
-    return body
+    SunOS 4.0 had nothing to duplicate — and no SIGWAITING handler is
+    installed (the default action ignores it), so nothing grows the
+    pool."""
+    return start_process(kernel, proc, main, args, LiblwpLibrary)
 
 
 def lwp_create(func, arg=None):

@@ -207,7 +207,9 @@ class PctPriorities(ScheduleRule):
             raise SimulationError(f"bad change_every {self.change_every}")
 
     def arm(self, plan: "SchedulePlan", engine) -> None:
-        self._prio: dict[int, float] = {}
+        # Keyed by the thread, not id(): holding every thread seen, no
+        # new one can reuse a dead one's address and inherit its draw.
+        self._prio: dict = {}
         self._picks = 0
         self._rng = plan.rng("pct")
 
@@ -215,14 +217,15 @@ class PctPriorities(ScheduleRule):
         if not snapshot:
             return None
         rng = self._rng
+        prio = self._prio
         for t in snapshot:
-            if id(t) not in self._prio:
-                self._prio[id(t)] = rng.random()
+            if t not in prio:
+                prio[t] = rng.random()
         self._picks += 1
         if self.change_every and self._picks % self.change_every == 0:
             victim = rng.choice(snapshot)
-            self._prio[id(victim)] = rng.random()
-        return max(snapshot, key=lambda t: self._prio[id(t)])
+            prio[victim] = rng.random()
+        return max(snapshot, key=prio.__getitem__)
 
 
 @dataclass(eq=False)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.errors import LwpExhausted, ThreadError
-from repro.hw.context import Activity, as_generator
-from repro.hw.isa import Charge, GetContext, SwitchTo, Syscall
+from repro.hw.context import Activity
+from repro.hw.isa import Charge, GetContext, Syscall
 from repro.kernel.signals import Sig, Sigset
 from repro.threads.backoff import lwp_create_backoff
 from repro.threads.thread import (THREAD_BIND_LWP, THREAD_NEW_LWP,
@@ -93,24 +93,11 @@ def thread_create(func, arg: Any = None, flags: int = 0,
                  else costs.thread_create_user)
 
     bound = bool(flags & THREAD_BIND_LWP)
-    waitable = bool(flags & THREAD_WAIT)
     stopped = bool(flags & THREAD_STOP)
-
-    stack = lib.stack_alloc.allocate(
-        stack_addr, stack_size,
-        tls_reserved=lib.tls_layout.size_bytes)
-    tid = lib.new_thread_id()
-    thread = Thread(
-        tid, func, arg,
-        stack=stack,
-        tls_block=TlsBlock(lib.tls_layout),
-        priority=creator.priority,
-        sigmask=creator.sigmask.copy(),
-        waitable=waitable,
-        bound=bound)
-    thread.activity = Activity(_thread_body(lib, thread), name=f"t{tid}")
-    lib.threads[tid] = thread
-    lib.threads_created += 1
+    thread = _new_thread(lib, func, arg, creator.priority,
+                         creator.sigmask.copy(),
+                         waitable=bool(flags & THREAD_WAIT), bound=bound,
+                         stack_addr=stack_addr, stack_size=stack_size)
 
     if bound:
         # THREAD_BIND_LWP: "A new LWP is created and the new thread is
@@ -135,10 +122,6 @@ def thread_create(func, arg: Any = None, flags: int = 0,
             lib.bound_fallbacks += 1
             bound = False
             thread.bound = False
-            if stopped:
-                thread.state = ThreadState.STOPPED
-            else:
-                yield from lib.wake_thread(thread)
         else:
             lwp = ctx.process.lwps[lwp_id]
             lwp.bound_thread = thread
@@ -146,23 +129,20 @@ def thread_create(func, arg: Any = None, flags: int = 0,
             thread.lwp = lwp
             thread.state = (ThreadState.STOPPED if stopped
                             else ThreadState.RUNNABLE)
-    elif stopped:
-        thread.state = ThreadState.STOPPED
-    else:
-        yield from lib.wake_thread(thread)
+    if not bound:
+        # Unbound, or demoted above: the library schedules it.
+        if stopped:
+            thread.state = ThreadState.STOPPED
+        else:
+            yield from lib.wake_thread(thread)
 
     if flags & THREAD_NEW_LWP:
         # "A new LWP is created along with the thread [and] added to the
         # pool of LWPs used to execute threads."  Pool growth is an
         # optimization: if LWPs are exhausted the thread still runs on the
         # existing pool, so swallow the failure (but count it).
-        try:
-            lwp_id = yield from lwp_create_backoff(
-                lib.new_pool_lwp_activity(), on_retry=lib.note_lwp_retry)
-        except LwpExhausted:
+        if not (yield from lib.grow_pool()):
             lib.pool_grow_failures += 1
-        else:
-            lib.register_pool_lwp(ctx.process.lwps[lwp_id])
 
     if metrics is not None:
         # Label by the *requested* boundness so the split is stable even
@@ -172,7 +152,28 @@ def thread_create(func, arg: Any = None, flags: int = 0,
         metrics.count(f"threads.created.{kind}")
         metrics.observe(f"threads.create_ns.{kind}",
                         ctx.engine.now_ns - t_start)
-    return tid
+    return thread.thread_id
+
+
+def _new_thread(lib, func, arg, priority: int, sigmask: Sigset,
+                waitable: bool = False, bound: bool = False,
+                stack_addr: Optional[int] = None, stack_size: int = 0,
+                name: Optional[str] = None) -> Thread:
+    """Build and register a thread record (stack first, then ID, TLS
+    block and activity): the one constructor, for ``thread_create``,
+    process start and a supervisor's respawn.  Plain call, no charges;
+    the caller decides where the thread first runs."""
+    stack = lib.stack_alloc.allocate(
+        stack_addr, stack_size, tls_reserved=lib.tls_layout.size_bytes)
+    tid = lib.new_thread_id()
+    thread = Thread(tid, func, arg, stack=stack,
+                    tls_block=TlsBlock(lib.tls_layout), priority=priority,
+                    sigmask=sigmask, waitable=waitable, bound=bound)
+    thread.activity = Activity(_thread_body(lib, thread),
+                               name=name or f"t{tid}")
+    lib.threads[tid] = thread
+    lib.threads_created += 1
+    return thread
 
 
 def _thread_body(lib, thread: Thread):
@@ -203,7 +204,6 @@ def thread_exit():
 def _exit_impl(lib, thread: Thread):
     """The one true thread-exit path; never returns."""
     ctx = yield GetContext()
-    costs = lib.costs
 
     # POSIX-style thread-specific data destructors (built on TLS).
     lib.tsd.run_destructors(thread.tls)
@@ -219,16 +219,9 @@ def _exit_impl(lib, thread: Thread):
         m.count("threads.exited")
     lib.stack_alloc.release(thread.stack)
 
-    # Hand ourselves to a waiter, if any.
-    if thread.waiters:
-        n = yield from lib.wake_from_queue(
-            thread.waiters, n=len(thread.waiters), value=thread)
-    elif thread.waitable and lib.any_waiters:
-        yield from lib.wake_from_queue(lib.any_waiters, n=1, value=thread)
-        thread.wait_claimed = True
-    elif not thread.waitable:
-        # "the thread ID may be reused at any time after the thread exits"
-        lib.retire_id(thread)
+    # Hand ourselves to our joiners, if any.
+    for lwp_id in lib.hand_off_exited(thread):
+        yield Syscall("lwp_unpark", lwp_id)
 
     if lib.live_count() == 0:
         # Last thread gone: the process exits (classic Solaris rule).
@@ -240,15 +233,8 @@ def _exit_impl(lib, thread: Thread):
 
     # Unbound: hand the LWP to the next thread (or the idle loop) and
     # vanish.  The switch never resumes this activity.
-    yield Charge(costs.thread_sched_pick)
-    lwp = ctx.lwp
-    nxt = lib.pick_next()
-    lib.detach(lwp, thread)
-    if nxt is not None:
-        lib.adopt(lwp, nxt)
-        yield SwitchTo(nxt.activity)
-    else:
-        yield SwitchTo(lib.idle_activity(lwp))
+    yield Charge(lib.costs.thread_sched_pick)
+    yield from lib._switch_away(ctx.lwp, thread)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -366,14 +352,9 @@ def thread_setconcurrency(n: int):
         for _ in range(n - current):
             # "at least this concurrency" is best-effort: stop growing if
             # LWPs are exhausted and leave the rest to SIGWAITING.
-            try:
-                lwp_id = yield from lwp_create_backoff(
-                    lib.new_pool_lwp_activity(),
-                    on_retry=lib.note_lwp_retry)
-            except LwpExhausted:
+            if not (yield from lib.grow_pool()):
                 lib.pool_grow_failures += 1
                 break
-            lib.register_pool_lwp(ctx.process.lwps[lwp_id])
     elif n < current:
         lib._shrink_quota += current - n
         # Kick parked LWPs so they can notice and exit.
@@ -388,15 +369,9 @@ def thread_yield():
     """Offer the LWP to another runnable thread (cooperative)."""
     ctx = yield GetContext()
     lib = ctx.process.threadlib
-    me = ctx.thread
-    if me.bound or len(lib.runq) == 0:
+    if ctx.thread.bound or len(lib.runq) == 0:
         return
-
-    def publish():
-        me.state = ThreadState.RUNNABLE
-        lib.runq.insert(me)
-
-    yield from lib.reschedule(publish=publish)
+    yield from lib.reschedule()
 
 
 # ====================================================================
@@ -418,9 +393,7 @@ def thread_stop(thread_id: Optional[int] = None):
     target = me if thread_id is None else lib.get_thread(thread_id)
 
     if target is me:
-        def publish():
-            me.state = ThreadState.STOPPED
-        yield from lib.reschedule(publish=publish)
+        yield from lib.reschedule(ThreadState.STOPPED)
         return 0
 
     if target.state is ThreadState.STOPPED:
@@ -574,12 +547,7 @@ def _timeslice_handler(sig: int):
     if me is None or me.bound or len(lib.runq) == 0:
         return
     lib.preemptive_slices += 1
-
-    def publish():
-        me.state = ThreadState.RUNNABLE
-        lib.runq.insert(me)
-
-    yield from lib.reschedule(publish=publish)
+    yield from lib.reschedule()
 
 
 def thread_sigaltstack(stack=None, disable: bool = False):

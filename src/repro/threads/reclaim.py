@@ -116,23 +116,9 @@ def reclaim_crashed_thread(kernel, lib, thread, lwp=None) -> dict:
             while thread in sv.holders:
                 sv.holders.remove(thread)
 
-    # (4) Joiners, mirroring _exit_impl's handoff rules.
-    unparks: list[int] = []
-    joiners = 0
-    while thread.waiters:
-        w = thread.waiters.pop(0)
-        w.wait_queue = None
-        unparks.extend(lib.make_runnable(w, value=thread))
-        joiners += 1
-    if joiners == 0:
-        if thread.waitable and lib.any_waiters:
-            w = lib.any_waiters.pop(0)
-            w.wait_queue = None
-            unparks.extend(lib.make_runnable(w, value=thread))
-            thread.wait_claimed = True
-        elif not thread.waitable:
-            lib.retire_id(thread)
-    lib.unpark_lwps(unparks)
+    # (4) Joiners: the hand-off of a clean exit.
+    joiners = len(thread.waiters)
+    lib.unpark_lwps(lib.hand_off_exited(thread))
 
     # (5) Stack back to the cache; tell the detectors and the supervisor.
     # TSD destructors are guest code and cannot run here — a documented

@@ -13,14 +13,12 @@ this by default.
 
 from __future__ import annotations
 
-from repro.hw.context import Activity
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.kernel.signals import Sig, Sigset
-from repro.threads.api import _thread_body
+from repro.threads.api import _new_thread
 from repro.threads.scheduler import ThreadsLibrary
-from repro.threads.thread import Thread, ThreadState
-from repro.threads.tls import TlsBlock
+from repro.threads.thread import ThreadState
 
 
 def install(kernel: Kernel) -> None:
@@ -31,42 +29,37 @@ def install(kernel: Kernel) -> None:
 def bootstrap_process(kernel: Kernel, proc: Process, main, args: tuple,
                       extra_lwps: int = 0) -> ThreadsLibrary:
     """Build the threads runtime and initial thread for one process."""
-    lib = ThreadsLibrary(proc, kernel.costs, kernel.engine)
-    proc.threadlib = lib
+    lib = start_process(kernel, proc, main, args, ThreadsLibrary)
 
     # The library handles SIGWAITING by adding LWPs when threads starve.
     proc.signals.set_action(Sig.SIGWAITING, _sigwaiting_trampoline,
                             restart=True)
 
+    for _ in range(extra_lwps):
+        # Registration happens in the idle boot when the LWP first runs.
+        kernel.create_lwp(proc, lib.new_pool_lwp_activity())
+    return lib
+
+
+def start_process(kernel: Kernel, proc: Process, main, args: tuple,
+                  library: type) -> ThreadsLibrary:
+    """Give ``proc`` an instance of ``library`` and its thread 1, which
+    runs ``main(*args)`` on the process's first LWP."""
+    lib = library(proc, kernel.costs, kernel.engine)
+    proc.threadlib = lib
+
     # "The size [of TLS] is computed by the run-time linker at program
     # start time"; programs that need extra unshared variables declare
     # them in their first few instructions, before creating threads.
     # We leave the layout open until the first thread_create.
-
-    thread = Thread(
-        lib.new_thread_id(), _main_wrapper(main, args), None,
-        stack=lib.stack_alloc.allocate(),
-        tls_block=TlsBlock(lib.tls_layout),
-        priority=30,
-        sigmask=Sigset(),
-        waitable=False,
-        bound=False)
-    thread.activity = Activity(_thread_body(lib, thread),
-                               name=f"pid{proc.pid}-main")
-    lib.threads[thread.thread_id] = thread
-    lib.threads_created += 1
-
+    thread = _new_thread(lib, _main_wrapper(main, args), None,
+                         priority=30, sigmask=Sigset(),
+                         name=f"pid{proc.pid}-main")
     lwp = kernel.create_lwp(proc, thread.activity)
     lib.register_pool_lwp(lwp)
     lwp.current_thread = thread
     thread.lwp = lwp
     thread.state = ThreadState.RUNNING
-
-    for _ in range(extra_lwps):
-        extra = kernel.create_lwp(proc, lib.new_pool_lwp_activity())
-        # Registration happens in the idle boot when the LWP first runs.
-        del extra
-
     return lib
 
 

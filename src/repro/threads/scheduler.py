@@ -37,7 +37,7 @@ from repro.hw.context import Activity, as_generator
 from repro.hw.isa import (GET_CONTEXT, TIMED_OUT, Charge, SwitchTo,
                           Syscall, charge)
 from repro.kernel.signals import Disposition, Sig
-from repro.threads.backoff import lwp_create_backoff
+from repro.threads.backoff import DEFAULT_ATTEMPTS, lwp_create_backoff
 from repro.threads.stack import StackAllocator
 from repro.threads.thread import Thread, ThreadState
 from repro.threads.tls import TlsLayout, TsdKeys
@@ -280,9 +280,9 @@ class ThreadsLibrary:
             if lwp is not None:
                 lwp.kernel.unpark_lwp(lwp)
 
-    def wake_from_queue(self, queue: list, n: int = 1, value: Any = None):
-        """Generator: wake up to ``n`` threads off a user wait queue;
-        returns how many were woken."""
+    def _dequeue(self, queue: list, n: int, value: Any) -> tuple:
+        """Make up to ``n`` threads off a user wait queue runnable with
+        ``value``; returns how many, and the LWP ids to unpark."""
         woken = 0
         unparks: list[int] = []
         while queue and woken < n:
@@ -290,9 +290,31 @@ class ThreadsLibrary:
             thread.wait_queue = None
             unparks.extend(self.make_runnable(thread, value))
             woken += 1
+        return woken, unparks
+
+    def wake_from_queue(self, queue: list, n: int = 1, value: Any = None):
+        """Generator: wake up to ``n`` threads off a user wait queue;
+        returns how many were woken."""
+        woken, unparks = self._dequeue(queue, n, value)
         for lwp_id in unparks:
             yield Syscall("lwp_unpark", lwp_id)
         return woken
+
+    def hand_off_exited(self, thread: Thread) -> list[int]:
+        """Give an exited (or crashed) thread to its ``thread_wait(tid)``
+        callers, else claim it for one ``thread_wait(None)`` caller (the
+        claim precedes any unpark, so no second any-waiter reaps it),
+        else retire an unwaitable thread's ID; returns the LWP ids to
+        unpark."""
+        waiters = thread.waiters
+        if waiters:
+            return self._dequeue(waiters, len(waiters), thread)[1]
+        if not thread.waitable:
+            self.retire_id(thread)
+        elif self.any_waiters:
+            thread.wait_claimed = True
+            return self._dequeue(self.any_waiters, 1, thread)[1]
+        return []
 
     # ================================================== blocking / switch
 
@@ -397,32 +419,26 @@ class ThreadsLibrary:
             idle = self.parked.pop(0)
             self.unparks_requested += 1
             yield Syscall("lwp_unpark", idle.lwp_id)
+        yield from self.reschedule()
 
-        def publish():
-            me.state = ThreadState.RUNNABLE
-            self.runq.insert(me)
-
-        yield from self.reschedule(publish=publish)
-
-    def reschedule(self, publish: Optional[Callable[[], None]] = None):
-        """Generator: publish a state change and give up the LWP.
-
-        ``publish`` runs atomically with the switch (after costs are
-        charged).  Returns when the thread next runs.
-        """
+    def reschedule(self, state: ThreadState = ThreadState.RUNNABLE):
+        """Generator: give up the LWP, leaving the calling thread in
+        ``state`` (RUNNABLE requeues it), published atomically with the
+        switch after costs are charged.  Returns when it next runs."""
         ctx = yield GET_CONTEXT
         thread = ctx.thread
         if not thread.bound:
             yield charge(self.costs.thread_sched_pick)
-        if publish is not None:
-            publish()
+        thread.state = state
+        if state is ThreadState.RUNNABLE:
+            self.runq.insert(thread)
         yield from self._switch_away(ctx.lwp, thread)
 
     def _switch_away(self, lwp, thread: Thread):
         """Atomic tail: hand the LWP to the next thread or the idle loop.
 
         Resumes (much later) when this thread is adopted again; returns
-        the waker's value.
+        the waker's value.  An exiting thread's tail never resumes.
         """
         if thread.bound:
             # Publishing already happened; the park permit absorbs an
@@ -465,16 +481,12 @@ class ThreadsLibrary:
             # popped from the parked list.
             for lwp_id in self._collect_stop_waiter_unparks(thread):
                 yield Syscall("lwp_unpark", lwp_id)
-            yield from self.reschedule(
-                publish=lambda: self._enter_stopped(thread))
+            yield from self.reschedule(ThreadState.STOPPED)
             return
         # Empty pending set (the common case): skip the delivery
         # generator — with nothing pending it yields nothing.
         if thread.pending:
             yield from self.deliver_pending_signals(ctx)
-
-    def _enter_stopped(self, thread: Thread) -> None:
-        thread.state = ThreadState.STOPPED
 
     def _collect_stop_waiter_unparks(self, thread: Thread) -> list[int]:
         """Wake thread_stop() callers blocked until this thread stopped."""
@@ -537,6 +549,19 @@ class ThreadsLibrary:
     def new_pool_lwp_activity(self) -> Activity:
         return Activity(self.idle_boot(), name="pool-idle-boot")
 
+    def grow_pool(self, attempts: int = DEFAULT_ATTEMPTS):
+        """Generator: add one LWP to the pool (``lwp_create`` under
+        backoff); returns False when LWPs stay exhausted after
+        ``attempts`` tries.  Each caller counts its own failures."""
+        try:
+            lwp_id = yield from lwp_create_backoff(
+                self.new_pool_lwp_activity(), attempts=attempts,
+                on_retry=self.note_lwp_retry)
+        except LwpExhausted:
+            return False
+        self.register_pool_lwp(self.process.lwps[lwp_id])
+        return True
+
     def note_lwp_retry(self, attempt: int) -> None:
         """Backoff hook: count a retried lwp_create (any site)."""
         self.lwp_create_retries += 1
@@ -566,23 +591,17 @@ class ThreadsLibrary:
             return
         if len(self.pool_lwps) >= MAX_AUTO_LWPS:
             return
-        try:
-            lwp_id = yield from lwp_create_backoff(
-                self.new_pool_lwp_activity(),
-                attempts=self.SIGWAITING_GROW_ATTEMPTS,
-                on_retry=self.note_lwp_retry)
-        except LwpExhausted:
+        grown = yield from self.grow_pool(self.SIGWAITING_GROW_ATTEMPTS)
+        m = self.engine.metrics
+        if not grown:
             self.sigwaiting_failures += 1
-            m = self.engine.metrics
             if m is not None:
                 m.count("threads.sigwaiting_failures")
             self.process.sigwaiting_posted = False
             return
         self.lwps_grown_by_sigwaiting += 1
-        m = self.engine.metrics
         if m is not None:
             m.count("threads.sigwaiting_grown")
-        self.register_pool_lwp(self.process.lwps[lwp_id])
 
     # ================================================== signal routing
 

@@ -20,8 +20,8 @@ plain object whose machinery runs entirely in kernel context —
 * crash handling is a plain call from the reclaim walk (itself an
   engine-timer context);
 * restarts are ``engine.call_after`` callbacks that respawn the thread
-  with the library-bookkeeping half of ``thread_create`` (no guest
-  charges: the dead thread already paid for its stack and ID once);
+  through ``thread_create``'s constructor (no guest charges: the dead
+  thread already paid for its stack and ID once);
 * the watchdog is a repeating engine timer that compares heartbeat
   stamps — ``heartbeat()`` itself is one attribute store, yield-free.
 
@@ -39,14 +39,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.hw.context import Activity
 from repro.hw.isa import GetContext
 from repro.sim.clock import usec
 from repro.sync.events import sync_notify
+from repro.threads.api import _new_thread
 from repro.threads.backoff import (DEFAULT_ATTEMPTS, DEFAULT_BASE_USEC,
                                    DEFAULT_FACTOR, DEFAULT_MAX_DELAY_USEC)
 from repro.threads.thread import Thread, ThreadState
-from repro.threads.tls import TlsBlock
 
 __all__ = ["ChildSpec", "Supervisor"]
 
@@ -293,20 +292,9 @@ class Supervisor:
                 or not proc.live_lwps()):
             return
         engine = kernel.engine
-        if not lib.tls_layout.frozen:
-            lib.tls_layout.freeze()
-        from repro.threads.api import _thread_body
-        stack = lib.stack_alloc.allocate(
-            None, 0, tls_reserved=lib.tls_layout.size_bytes)
-        tid = lib.new_thread_id()
-        thread = Thread(tid, self._child_body(spec), spec.arg,
-                        stack=stack, tls_block=TlsBlock(lib.tls_layout),
-                        priority=spec.priority,
-                        sigmask=spec.sigmask.copy(),
-                        waitable=spec.waitable, bound=False)
-        thread.activity = Activity(_thread_body(lib, thread), name=f"t{tid}")
-        lib.threads[tid] = thread
-        lib.threads_created += 1
+        thread = _new_thread(lib, self._child_body(spec), spec.arg,
+                             spec.priority, spec.sigmask.copy(),
+                             waitable=spec.waitable)
         self._adopt(spec, thread, engine)
         unparks = lib.make_runnable(thread)
         lib.unpark_lwps(unparks)

@@ -11,6 +11,7 @@ from repro.explore.corpus import BUGGY
 from repro.explore.explorer import (Explorer, ReproBundle, run_one,
                                     default_plan_dicts)
 from repro.explore.minimize import failure_signature, minimize_schedule
+from repro.sim.engine import Engine
 from repro.sim.schedule import (PctPriorities, RandomPick, RandomPreempt,
                                 SchedulePlan)
 
@@ -73,6 +74,44 @@ class TestDeterminism:
         a = run_one(factory, program="p", seed=1, schedule_dict=AGGRESSIVE)
         b = run_one(factory, program="p", seed=2, schedule_dict=AGGRESSIVE)
         assert a.digest != b.digest
+
+
+class _Runnable:
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+
+def _pct_picks(drop_dead: bool) -> str:
+    """Four PCT picks between c and d after a pick between a and b.
+    With ``drop_dead``, b's last reference goes and c is allocated
+    until it lands at b's address (bounded: it cannot while the plan
+    keeps b alive)."""
+    plan = SchedulePlan([PctPriorities()])
+    plan.attach(Engine(seed=0))
+    a, b = _Runnable("a"), _Runnable("b")
+    plan.pick_runnable([a, b])
+    spare = []
+    if drop_dead:
+        address = id(b)
+        del b
+        c = _Runnable("c")
+        while id(c) != address and len(spare) < 10_000:
+            spare.append(c)
+            c = _Runnable("c")
+    else:
+        c = _Runnable("c")
+    d = _Runnable("d")
+    return " ".join(plan.pick_runnable([c, d]).name for _ in range(4))
+
+
+class TestPctIgnoresHostAddresses:
+    def test_new_thread_at_a_dead_threads_address_draws_its_own(self):
+        """PCT priorities are keyed by the thread, not by ``id()``: a
+        thread that reuses a dead one's address must not inherit its
+        priority and skip its draw, which shifts every later draw."""
+        assert _pct_picks(drop_dead=True) == _pct_picks(drop_dead=False)
 
 
 class TestReproBundle:

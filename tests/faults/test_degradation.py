@@ -138,6 +138,31 @@ class TestSetConcurrency:
         assert got["failures"] == 1
 
 
+class TestNewLwpFlag:
+    def test_thread_runs_when_the_pool_cannot_grow(self):
+        """THREAD_NEW_LWP at the LWP cap: the growth is skipped and
+        counted, and the thread runs on the existing pool."""
+        ran = []
+        got = {}
+
+        def worker(arg):
+            ran.append(arg)
+            yield Charge(usec(10))
+
+        def main():
+            yield from unistd.setrlimit(RLIMIT_NLWPS, 1)
+            lib = yield from _lib()
+            tid = yield from threads.thread_create(
+                worker, 7, flags=threads.THREAD_NEW_LWP | threads.THREAD_WAIT)
+            yield from threads.thread_wait(tid)
+            got["pool"] = len(lib.pool_lwps)
+            got["failures"] = lib.pool_grow_failures
+
+        run_program(main, check_deadlock=False)
+        assert ran == [7]
+        assert got == {"pool": 1, "failures": 1}
+
+
 class TestSigwaitingSurvival:
     def test_handler_survives_injected_eagain(self):
         """SIGWAITING fires while every lwp_create fails: the handler

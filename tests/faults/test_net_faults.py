@@ -9,8 +9,10 @@ import pytest
 
 from repro.api import Simulator
 from repro.errors import Errno, SyscallError
+from repro.hw.isa import Charge
 from repro.kernel.signals import SIG_IGN, Sig
 from repro.runtime import unistd
+from repro.sim.clock import usec
 from repro.sim.faults import (AcceptStall, ConnDrop, FaultPlan, PacketDelay,
                               PeerReset)
 from repro.sim.trace import DigestSink
@@ -82,6 +84,49 @@ class TestAcceptStall:
         run_program(main, faults=plan)
         assert 3_000.0 <= (stamps["end"] - stamps["start"]) / 1000.0 < 3_500.0
         # The connection still lands: a stall is pressure, not loss.
+
+
+class TestRestartSignalDuringTheWait:
+    """A caught SA_RESTART signal wakes the injected wait early; the
+    call sleeps out the rest of it, as nanosleep does."""
+
+    @pytest.mark.parametrize("call", ["connect", "accept"])
+    def test_the_wait_still_lasts_its_full_length(self, call):
+        got = {}
+
+        def handler(sig):
+            got["signalled"] = True
+            yield Charge(usec(1))
+
+        def child():
+            yield from unistd.sigaction(int(Sig.SIGUSR1), handler,
+                                        restart=True)
+            lfd = yield from _listener()
+            fd = yield from unistd.socket()
+            if call == "accept":
+                yield from unistd.connect(fd, PORT)
+            start = yield from unistd.gettimeofday()
+            if call == "accept":
+                yield from unistd.accept(lfd)
+            else:
+                with pytest.raises(SyscallError) as exc:
+                    yield from unistd.connect(fd, PORT)
+                assert exc.value.errno == Errno.ETIMEDOUT
+            end = yield from unistd.gettimeofday()
+            got["waited_usec"] = (end - start) / 1000.0
+
+        def main():
+            pid = yield from unistd.fork1(child)
+            yield from unistd.sleep_usec(1_000)
+            yield from unistd.kill(pid, int(Sig.SIGUSR1))
+            yield from unistd.waitpid(pid)
+
+        rule = (AcceptStall(port=PORT, stall_usec=10_000.0)
+                if call == "accept" else
+                ConnDrop(port=PORT, mode="timeout", timeout_usec=10_000.0))
+        run_program(main, faults=FaultPlan([rule]))
+        assert got["signalled"]
+        assert 10_000.0 <= got["waited_usec"] < 10_500.0
 
 
 class TestPacketDelay:

@@ -7,6 +7,7 @@ from repro.api import Simulator
 from repro.errors import ThreadError
 from repro.hw.isa import Charge, GetContext
 from repro.kernel.fs.file import O_RDONLY
+from repro.kernel.signals import Sig
 from repro.models import activations, kernel_only, liblwp
 from repro.runtime import unistd
 from repro import threads
@@ -61,19 +62,31 @@ class TestLiblwp:
         assert all(t >= usec(100_000) for t in progress)
 
     def test_no_sigwaiting_growth(self):
+        """No SIGWAITING handler, so the signal is never sent, even when
+        the only LWP blocks indefinitely with a thread runnable."""
+        got = {}
+
+        def runnable(_):
+            yield Charge(usec(10))
+
         def main():
             ctx = yield GetContext()
             lib = ctx.process.threadlib
             assert isinstance(lib, liblwp.LiblwpLibrary)
+            got["default"] = ctx.process.signals.action(
+                Sig.SIGWAITING).is_default()
+            yield from threads.thread_create(runnable, None)
             fd = yield from unistd.open("/dev/tty", O_RDONLY)
             yield from unistd.read(fd, 1)
-            assert len(ctx.process.live_lwps()) == 1
+            got["lwps"] = len(ctx.process.live_lwps())
 
         sim = Simulator()
         sim.kernel.runtime_factory = liblwp.bootstrap_process
         sim.spawn(main)
         sim.type_input(b"x", at_usec=100_000)
         sim.run()
+        assert got == {"default": True, "lwps": 1}
+        assert sim.kernel.sigwaiting_sent == 0
 
     def test_lwp_flags_rejected(self):
         """One LWP, ever: every way to ask for another raises."""

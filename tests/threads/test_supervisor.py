@@ -10,6 +10,7 @@ stream plus the specs' own counters.
 from repro.api import Simulator
 from repro.errors import Errno
 from repro.hw.isa import GetContext
+from repro.kernel.signals import SIG_BLOCK, Sig, Sigset
 from repro.runtime import libc, unistd
 from repro.sim.clock import usec
 from repro.sync import CondVar, Mutex
@@ -200,6 +201,48 @@ class TestRestartArgHandover:
 
         _run(main)
         assert state["args"] == ["original", "handover"]
+
+
+class TestRespawnIsAWholeThread:
+    def test_respawn_has_tls_and_the_spec_priority_and_mask(self):
+        """The respawned incarnation is built by the same constructor
+        as a created thread: its own TLS block, plus the priority and
+        signal mask its spec took from the spawner."""
+        seen = []
+        sup = Supervisor(backoff_base_usec=100.0)
+
+        def child(arg):
+            ctx = yield GetContext()
+            me = ctx.thread
+            yield from threads.tls_set("slot", me.thread_id)
+            slot = yield from threads.tls_get("slot")
+            seen.append((slot == me.thread_id, me.priority,
+                         Sig.SIGUSR1 in me.sigmask))
+            for _ in range(40):
+                yield from libc.compute(100.0)
+
+        def main():
+            ctx = yield GetContext()
+            yield from threads.tls_declare("slot")
+            yield from threads.thread_priority(None, 40)
+            yield from threads.thread_sigsetmask(
+                SIG_BLOCK, Sigset([Sig.SIGUSR1]))
+            spec = yield from sup.spawn(child, None, name="kid",
+                                        flags=threads.THREAD_NEW_LWP)
+            yield from threads.thread_priority(None, 30)
+
+            def kill():
+                t = spec.thread
+                if t is not None and t.lwp is not None:
+                    ctx.kernel.crash_lwp(t.lwp)
+
+            ctx.engine.call_after(usec(1_000.0), kill)
+            while not (spec.done or spec.gave_up):
+                yield from libc.compute(200.0)
+            sup.drain()
+
+        _run(main)
+        assert seen == [(True, 40, True), (True, 40, True)]
 
 
 class TestWatchdog:

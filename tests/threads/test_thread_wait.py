@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ThreadError
+from repro.hw.isa import Charge
 from repro.runtime import unistd
+from repro.sim.clock import usec
 from repro import threads
 from tests.conftest import run_program
 
@@ -110,6 +112,36 @@ class TestWaitSemantics:
                 yield from threads.thread_wait(None)
 
         run_program(main)
+
+    def test_wait_any_reaps_an_exited_thread_once(self):
+        """The exit hands thread 2 to the blocked any-waiter (thread 3)
+        and claims it before unparking that waiter's LWP, so a second
+        any-waiter (thread 4) that calls in during the unpark finds
+        nothing left to wait for.  Its 1,100 us delay lands inside that
+        unpark, which spans delays of 1,020-1,250 us."""
+        got = {}
+
+        def worker(_):
+            yield Charge(usec(1_000))
+
+        def first(_):
+            got["first"] = yield from threads.thread_wait(None)
+
+        def second(_):
+            yield Charge(usec(1_100))
+            with pytest.raises(ThreadError):
+                yield from threads.thread_wait(None)
+            got["second"] = "ThreadError"
+
+        def main():
+            got["worker"] = yield from threads.thread_create(
+                worker, None, flags=threads.THREAD_WAIT)
+            for body in (first, second):
+                yield from threads.thread_create(
+                    body, None, flags=threads.THREAD_BIND_LWP)
+
+        run_program(main, ncpus=3)
+        assert got == {"worker": 2, "first": 2, "second": "ThreadError"}
 
 
 class TestIdReuse:
