@@ -94,11 +94,11 @@ def _resolve_queue(queue: list, lib) -> tuple[str, str, list]:
     for other in lib.threads.values():
         if other.waiters is queue:
             return ("thread-exit", other.name, [other])
-        if getattr(other, "_stop_waiters", None) is queue:
+        if other.stop_waiters is queue:
             return ("thread-stop", other.name, [other])
     if lib.any_waiters is queue:
         return ("thread-exit", "any THREAD_WAIT thread", [])
-    return ("wait-queue", f"@{id(queue):x}", [])
+    return ("wait-queue", "unknown", [])
 
 
 def build_wait_graph(kernel) -> tuple[list[WaitEdge], list[tuple]]:
@@ -160,7 +160,7 @@ def find_cycles(edges: list[WaitEdge]) -> list[list[WaitEdge]]:
     def dfs(t: Thread, path: list, on_path: dict) -> None:
         if t in on_path:
             cyc = path[on_path[t]:]
-            key = frozenset(id(x) for x in cyc)
+            key = frozenset(cyc)
             if key not in seen_keys:
                 seen_keys.add(key)
                 cycles.append([by_thread[x] for x in cyc])

@@ -98,12 +98,13 @@ def _lock_key(sv, detail: dict) -> tuple:
     Process-shared primitives are keyed by their shared cell — two
     Python objects over the same (memory object, offset) are the same
     lock (the database workload builds a fresh Mutex per transaction
-    over one cell).  Private primitives are keyed by object identity.
+    over one cell).  Private primitives are keyed by the object itself:
+    the key holds it, so no later object can take over its entry.
     """
     cell = detail.get("cell")
     if cell is not None:
-        return ("cell", id(cell.mobj), cell.offset)
-    return ("obj", id(sv))
+        return ("cell", cell.mobj, cell.offset)
+    return ("obj", sv)
 
 
 def _actor(ctx):
@@ -149,8 +150,9 @@ class _HeldLocks:
     """
 
     def __init__(self, track_composite_shared_rwlock: bool = True):
-        # id(actor) -> list of (key, name, mode, blocking)
-        self._held: dict[int, list] = {}
+        # actor -> list of (key, name, mode, blocking); keyed by the
+        # actor itself, so a new actor never inherits a dead one's locks.
+        self._held: dict = {}
         self._track_composite = track_composite_shared_rwlock
 
     def update(self, ctx, op: str, sv, detail: dict) -> Optional[tuple]:
@@ -170,7 +172,7 @@ class _HeldLocks:
             # ordering cycle.
             return None
         actor = _actor(ctx)
-        held = self._held.setdefault(id(actor), [])
+        held = self._held.setdefault(actor, [])
         key = _lock_key(sv, detail)
         if op == "acquire":
             entry = (key, getattr(sv, "name", "?"), detail.get("mode"),
@@ -184,10 +186,10 @@ class _HeldLocks:
         return None
 
     def held(self, ctx) -> list:
-        return list(self._held.get(id(_actor(ctx)), ()))
+        return list(self._held.get(_actor(ctx), ()))
 
     def held_of(self, actor) -> list:
-        return list(self._held.get(id(actor), ()))
+        return list(self._held.get(actor, ()))
 
 
 # =====================================================================
@@ -282,7 +284,7 @@ class LocksetDetector(Detector):
         if actor is None or in_kernel:
             return
         self.accesses_checked += 1
-        key = (id(mobj), offset)
+        key = (mobj, offset)
         rec = self.cells.get(key)
         if rec is None:
             rec = self.cells[key] = _CellRecord()
@@ -459,46 +461,43 @@ class LostWakeupDetector(Detector):
         # ``held`` (see default_detectors); don't double-apply events.
         self._shared_held = held is not None
         self.held = held if held is not None else _HeldLocks()
-        self.cv_mutex: dict[int, set] = {}     # id(cv) -> set of lock keys
-        self.cv_waited: set = set()            # id(cv) ever had a waiter
-        self.cv_names: dict[int, str] = {}
-        self.wasted: dict[int, list] = {}      # id(cv) -> [description]
+        self.cv_mutex: dict = {}     # cv -> set of lock keys
+        self.cv_waited: set = set()  # cvs that ever had a waiter
+        self.wasted: dict = {}       # cv -> [(description, held keys)]
 
     def on_sync(self, ctx, op, sv, detail) -> None:
         if not self._shared_held:
             self.held.update(ctx, op, sv, detail)
         if op == "cv-wait":
             mutex = detail.get("mutex")
-            self.cv_waited.add(id(sv))
-            self.cv_names[id(sv)] = sv.name
+            self.cv_waited.add(sv)
             if mutex is not None:
-                self.cv_mutex.setdefault(id(sv), set()).add(
+                self.cv_mutex.setdefault(sv, set()).add(
                     _lock_key(mutex, {"cell": mutex.cell}))
         elif op in ("cv-signal", "cv-broadcast"):
             woken = detail.get("woken")
             if woken is None or woken > 0:
                 return  # shared cv (unknowable) or a delivered wakeup
-            self.cv_names.setdefault(id(sv), sv.name)
             held = frozenset(e[0] for e in self.held.held(ctx))
             who = getattr(_actor(ctx), "name", "?")
             # The predicate-mutex association may only be learned from a
             # *later* cv-wait, so judge the signal at finalize against
             # the held set it was sent under.
-            self.wasted.setdefault(id(sv), []).append(
+            self.wasted.setdefault(sv, []).append(
                 (f"{op} by {who} woke nobody", held))
 
     def finalize(self, sim) -> None:
-        for cv_id, wastes in self.wasted.items():
-            if cv_id not in self.cv_waited:
+        for cv, wastes in self.wasted.items():
+            if cv not in self.cv_waited:
                 continue  # nobody ever waits on this cv; notification only
-            assoc = self.cv_mutex.get(cv_id)
+            assoc = self.cv_mutex.get(cv)
             if assoc is not None and len(assoc) > 1:
                 continue  # shared across predicates; ambiguous — skip
             racy = [desc for desc, held in wastes
                     if not (assoc and assoc & held)]
             if not racy:
                 continue  # every empty signal held the predicate mutex
-            name = self.cv_names.get(cv_id, "?")
+            name = cv.name
             self.report(
                 "lost-wakeup", name,
                 f"condvar {name}: signal delivered with no waiter woken, "
@@ -675,7 +674,7 @@ class OrphanedResourceDetector(Detector):
         # global sync-variable registry is deliberately not walked at
         # finalize — it is a process-wide WeakSet that may still hold
         # variables from an earlier run in the same host process.
-        self._dead_locks: dict[int, object] = {}
+        self._dead_locks: dict = {}   # lock -> None, in arrival order
 
     def on_sync(self, ctx, op, sv, detail) -> None:
         if not self._shared_held:
@@ -683,7 +682,7 @@ class OrphanedResourceDetector(Detector):
         if op == "owner-dead":
             self.reclaims += 1
             if sv is not None:
-                self._dead_locks.setdefault(id(sv), sv)
+                self._dead_locks[sv] = None
         elif op == "thread-crash":
             self.crashes += 1
             # Crash events come from kernel context (sync_notify): the
@@ -701,7 +700,7 @@ class OrphanedResourceDetector(Detector):
                     "acquirer deadlocks on a corpse's lock")
 
     def finalize(self, sim) -> None:
-        for sv in sorted(self._dead_locks.values(),
+        for sv in sorted(self._dead_locks,
                          key=lambda v: getattr(v, "_seq", 0)):
             name = getattr(sv, "name", "?")
             if getattr(sv, "unrecoverable", False):

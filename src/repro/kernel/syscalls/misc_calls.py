@@ -168,10 +168,10 @@ def _select_sockets(ctx, opens, deadline):
         sock.watchers.append(on_ready)
     try:
         while not ready:
-            hot = {id(s) for s in pending if s.recv_ready()}
+            hot = {s for s in pending if s.recv_ready()}
             pending.clear()
             if hot:
-                ready = [fd for fd, of in opens if id(of.inode) in hot]
+                ready = [fd for fd, of in opens if of.inode in hot]
                 continue
             if deadline is not None and kernel.engine.now_ns >= deadline:
                 return []

@@ -115,8 +115,7 @@ class CondVar(SyncVariable):
             # NO_SLEEP means a signal landed in the window: treat it as
             # our wakeup (the paper's retest loop absorbs spurious ones).
             timed_out = (yield from lib.block_current_on(
-                self.waiters, reason=self.name,
-                guard=lambda: self.generation == target_gen,
+                self.waiters, guard=lambda: self.generation == target_gen,
                 deadline_ns=deadline_after(ctx, timeout_usec),
                 thread=me)) is TIMED_OUT
         acquired = yield from mutex.enter()

@@ -119,8 +119,7 @@ class Mutex(SyncVariable):
                 continue
             yield charge(ctx.costs.sync_user_op)
             outcome = yield from lib.block_current_on(
-                self.waiters, reason=self.name,
-                guard=lambda: self.owner is not None,
+                self.waiters, guard=lambda: self.owner is not None,
                 deadline_ns=deadline, thread=me)
             if outcome is TIMED_OUT:
                 return False
@@ -258,10 +257,8 @@ class Mutex(SyncVariable):
         self._held_since = None      # hold-time metric ends with the owner
         if not self.waiters:
             return None
-        nxt = self.waiters.pop(0)
-        nxt.wait_queue = None
-        self.owner = nxt
-        lib.unpark_lwps(lib.make_runnable(nxt, value="owner-dead"))
+        nxt = self.owner = self.waiters[0]
+        lib.unpark_lwps(lib.dequeue(self.waiters, 1, "owner-dead")[1])
         return nxt
 
     # ==================================================== shared variant

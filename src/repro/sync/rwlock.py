@@ -139,8 +139,7 @@ class RwLock(SyncVariable):
                 attempted = True
                 events.sync_event(ctx, "acquire-attempt", self, mode=label)
             yield from ctx.process.threadlib.block_current_on(
-                queue, reason=f"{self.name}.{label[0]}",
-                guard=lambda: not self._free(rw_type, "rw_enter"))
+                queue, guard=lambda: not self._free(rw_type, "rw_enter"))
         result = yield from self._grant(ctx, me, rw_type, True,
                                         attempted, t0)
         return result
@@ -359,10 +358,7 @@ class RwLock(SyncVariable):
             return False
         if self.writer is None and self.readers == 0:
             queue, n = self._next_waiters()
-            for _ in range(n):
-                nxt = queue.pop(0)
-                nxt.wait_queue = None
-                lib.unpark_lwps(lib.make_runnable(nxt, value="owner-dead"))
+            lib.unpark_lwps(lib.dequeue(queue, n, "owner-dead")[1])
         return marked
 
     # ==================================================== shared variant

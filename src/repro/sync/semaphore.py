@@ -97,8 +97,7 @@ class Semaphore(SyncVariable):
             self.blocks += 1
             was_contended = True
             outcome = yield from lib.block_current_on(
-                self.waiters, reason=self.name,
-                guard=lambda: self.count == 0,
+                self.waiters, guard=lambda: self.count == 0,
                 deadline_ns=deadline, thread=me)
             if outcome is TIMED_OUT:
                 return False

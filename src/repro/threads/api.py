@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 from repro.threads.scheduler import KEEP_VALUE as _KEEP
-from repro.threads.scheduler import NO_SLEEP as _NO_SLEEP
 
 
 def threads_lib():
@@ -219,7 +218,7 @@ def _exit_impl(lib, thread: Thread):
         m.count("threads.exited")
     lib.stack_alloc.release(thread.stack)
 
-    # Hand ourselves to our joiners, if any.
+    # Release every thread we kept waiting.
     for lwp_id in lib.hand_off_exited(thread):
         yield Syscall("lwp_unpark", lwp_id)
 
@@ -269,13 +268,13 @@ def thread_wait(thread_id: Optional[int] = None):
                 raise ThreadError("no THREAD_WAIT threads to wait for")
             # The guard closes the exit/publish race: if a waitable thread
             # died between the check above and the sleep, don't sleep.
+            # An exit hands us its thread, or wakes us with None to scan
+            # again.
             outcome = yield from lib.block_current_on(
-                lib.any_waiters, reason="thread_wait",
-                guard=lambda: dead_unclaimed() is None)
-            if outcome is _NO_SLEEP:
-                continue
-            lib.retire_id(outcome)
-            return outcome.thread_id
+                lib.any_waiters, guard=lambda: dead_unclaimed() is None)
+            if isinstance(outcome, Thread):
+                lib.retire_id(outcome)
+                return outcome.thread_id
 
     if me is not None and thread_id == me.thread_id:
         raise ThreadError("a thread cannot wait for itself")
@@ -290,7 +289,6 @@ def thread_wait(thread_id: Optional[int] = None):
         # Guard again at publish time: the target may exit on another
         # LWP between the check and the sleep.
         yield from lib.block_current_on(target.waiters,
-                                        reason="thread_wait",
                                         guard=lambda: not target.exited)
     lib.retire_id(target)
     return target.thread_id
@@ -383,8 +381,12 @@ def thread_stop(thread_id: Optional[int] = None):
 
     "If thread_id is NULL then the current thread is immediately stopped.
     ... thread_stop() does not return until the specified thread is
-    stopped."  Stopping a thread that is running on another LWP takes
-    effect at its next scheduling point; the caller blocks until then.
+    stopped."  A bound thread stops as its LWP (``lwp_suspend``): at
+    once, or when the LWP's sleep or CPU turn ends.  Stopped asleep, it
+    keeps reading SLEEPING, and RUNNABLE once woken, while its LWP reads
+    STOPPED.  An unbound thread stops in the library; for one running on
+    another LWP the caller waits for its next switch point, or its exit.
+    An exited thread counts as stopped.
     """
     ctx = yield GetContext()
     lib = ctx.process.threadlib
@@ -392,40 +394,25 @@ def thread_stop(thread_id: Optional[int] = None):
     yield Charge(lib.costs.sync_user_op)
     target = me if thread_id is None else lib.get_thread(thread_id)
 
-    if target is me:
-        yield from lib.reschedule(ThreadState.STOPPED)
+    if target.exited or target.state is ThreadState.STOPPED:
         return 0
-
-    if target.state is ThreadState.STOPPED:
-        return 0
-    if target.state is ThreadState.RUNNABLE:
-        if target.bound:
-            yield Syscall("lwp_suspend", target.lwp.lwp_id)
-            target.state = ThreadState.STOPPED
-        else:
-            lib.runq.remove(target)
-            target.state = ThreadState.STOPPED
-        return 0
-    if target.state is ThreadState.SLEEPING:
-        # Blocked on a sync variable: it cannot run; mark it so a wakeup
-        # parks it in STOPPED instead of RUNNABLE.
-        target.stop_pending = True
-        return 0
-    # RUNNING somewhere.
     if target.bound:
+        if target.state is not ThreadState.SLEEPING:
+            target.state = ThreadState.STOPPED
         yield Syscall("lwp_suspend", target.lwp.lwp_id)
+    elif target is me:
+        yield from lib.reschedule(ThreadState.STOPPED)
+    elif target.state is ThreadState.RUNNABLE:
+        lib.runq.remove(target)
         target.state = ThreadState.STOPPED
-        return 0
-    target.stop_pending = True
-    waiters = getattr(target, "_stop_waiters", None)
-    if waiters is None:
-        waiters = []
-        target._stop_waiters = waiters
-    # Guard: if the target reached its stop (or exited) before we sleep,
-    # don't sleep.
-    yield from lib.block_current_on(
-        waiters, reason="thread_stop",
-        guard=lambda: target.stop_pending and not target.exited)
+    else:
+        target.stop_pending = True
+        if target.state is ThreadState.RUNNING:
+            # Guard: if the target reached its stop (or exited) before
+            # we sleep, don't sleep.
+            yield from lib.block_current_on(
+                target.stop_waiters,
+                guard=lambda: target.stop_pending and not target.exited)
     return 0
 
 
@@ -433,30 +420,22 @@ def thread_continue(thread_id: int):
     """Start (or restart) a stopped thread.
 
     "The effect of thread_continue() may be delayed" — for an unbound
-    thread it becomes runnable; an LWP picks it up when one is free.
+    thread it becomes runnable; an LWP picks it up when one is free.  A
+    bound thread's LWP is continued whether or not it is stopped.
     """
     ctx = yield GetContext()
     lib = ctx.process.threadlib
     yield Charge(lib.costs.sync_user_op)
     target = lib.get_thread(thread_id)
-    if target.stop_pending:
-        target.stop_pending = False
-        return 0
-    if target.state is not ThreadState.STOPPED:
-        return 0
-    if target.bound:
-        from repro.kernel.lwp import LwpState
-        target.state = (ThreadState.RUNNABLE
-                        if not target.activity.started
-                        else ThreadState.RUNNING)
+    if target.bound and not target.exited:
+        if target.state is ThreadState.STOPPED:
+            target.state = (ThreadState.RUNNING if target.activity.started
+                            else ThreadState.RUNNABLE)
         yield Syscall("lwp_continue", target.lwp.lwp_id)
-        return 0
-    target.state = ThreadState.RUNNABLE
-    if target.wait_queue is not None:
-        # It was stopped while sleeping on a queue; put it back to sleep.
-        target.state = ThreadState.SLEEPING
-        return 0
-    yield from lib.wake_thread(target, value=_KEEP)
+    elif target.stop_pending:
+        target.stop_pending = False
+    elif target.state is ThreadState.STOPPED:
+        yield from lib.wake_thread(target, value=_KEEP)
     return 0
 
 

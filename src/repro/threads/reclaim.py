@@ -21,7 +21,8 @@ survive):
    and must call ``consistent()`` or the lock becomes unrecoverable —
    and waiters are handed the lock directly; dead readers and semaphore
    holder annotations are dropped silently;
-4. wake its joiners (``thread_wait``), exactly as a normal exit would;
+4. release every thread it kept waiting (``thread_stop`` and
+   ``thread_wait`` callers), exactly as a normal exit would;
 5. release its stack, retire its ID when unwaitable, and notify the
    owning :class:`~repro.threads.supervisor.Supervisor`, if any.
 
@@ -116,7 +117,7 @@ def reclaim_crashed_thread(kernel, lib, thread, lwp=None) -> dict:
             while thread in sv.holders:
                 sv.holders.remove(thread)
 
-    # (4) Joiners: the hand-off of a clean exit.
+    # (4) Everyone it kept waiting: the hand-off of a clean exit.
     joiners = len(thread.waiters)
     lib.unpark_lwps(lib.hand_off_exited(thread))
 

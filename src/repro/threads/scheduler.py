@@ -139,9 +139,8 @@ class ThreadsLibrary:
         self.tls_layout.declare("errno")
         self.tsd = TsdKeys(self.tls_layout)
 
-        # thread_wait(None) blockers and their results.
+        # thread_wait(None) blockers.
         self.any_waiters: list[Thread] = []
-        self.any_reaped: dict[int, int] = {}    # waiter tid -> reaped tid
 
         # Optional preemptive time slicing of unbound threads (armed via
         # per-LWP virtual timers + SIGVTALRM; 0 = cooperative only).
@@ -250,7 +249,8 @@ class ThreadsLibrary:
             # A deferred thread_stop overtakes the wakeup.
             thread.stop_pending = False
             thread.state = ThreadState.STOPPED
-            return self._collect_stop_waiter_unparks(thread)
+            waiters = thread.stop_waiters
+            return self.dequeue(waiters, len(waiters), None)[1]
         thread.state = ThreadState.RUNNABLE
         if self.engine.metrics is not None:
             thread.ready_since_ns = self.engine.now_ns
@@ -280,9 +280,11 @@ class ThreadsLibrary:
             if lwp is not None:
                 lwp.kernel.unpark_lwp(lwp)
 
-    def _dequeue(self, queue: list, n: int, value: Any) -> tuple:
+    def dequeue(self, queue: list, n: int, value: Any) -> tuple:
         """Make up to ``n`` threads off a user wait queue runnable with
-        ``value``; returns how many, and the LWP ids to unpark."""
+        ``value``; returns how many, and the LWP ids to unpark.  The one
+        way out of a wait queue for a woken thread (it clears
+        ``wait_queue``), from guest code and kernel context alike."""
         woken = 0
         unparks: list[int] = []
         while queue and woken < n:
@@ -295,30 +297,40 @@ class ThreadsLibrary:
     def wake_from_queue(self, queue: list, n: int = 1, value: Any = None):
         """Generator: wake up to ``n`` threads off a user wait queue;
         returns how many were woken."""
-        woken, unparks = self._dequeue(queue, n, value)
+        woken, unparks = self.dequeue(queue, n, value)
         for lwp_id in unparks:
             yield Syscall("lwp_unpark", lwp_id)
         return woken
 
     def hand_off_exited(self, thread: Thread) -> list[int]:
-        """Give an exited (or crashed) thread to its ``thread_wait(tid)``
-        callers, else claim it for one ``thread_wait(None)`` caller (the
-        claim precedes any unpark, so no second any-waiter reaps it),
-        else retire an unwaitable thread's ID; returns the LWP ids to
-        unpark."""
-        waiters = thread.waiters
-        if waiters:
-            return self._dequeue(waiters, len(waiters), thread)[1]
-        if not thread.waitable:
+        """Release every thread an exited (or crashed) thread kept
+        waiting; returns the LWP ids to unpark.
+
+        In order: its ``thread_stop`` callers; its ``thread_wait(tid)``
+        caller, else (unwaitable) retire its ID, else one
+        ``thread_wait(None)`` caller, who gets the thread, claimed
+        before any unpark so no second any-waiter reaps it; then every
+        other any-waiter, woken with None to scan again."""
+        unparks: list[int] = []
+        stoppers = thread.stop_waiters
+        if stoppers:
+            unparks += self.dequeue(stoppers, len(stoppers), None)[1]
+        if thread.waiters:
+            unparks += self.dequeue(thread.waiters, 1, thread)[1]
+        elif not thread.waitable:
             self.retire_id(thread)
+            return unparks
         elif self.any_waiters:
             thread.wait_claimed = True
-            return self._dequeue(self.any_waiters, 1, thread)[1]
-        return []
+            unparks += self.dequeue(self.any_waiters, 1, thread)[1]
+        others = self.any_waiters
+        if others:
+            unparks += self.dequeue(others, len(others), None)[1]
+        return unparks
 
     # ================================================== blocking / switch
 
-    def block_current_on(self, queue: list, reason: str = "sync",
+    def block_current_on(self, queue: list,
                          guard: Optional[Callable[[], bool]] = None,
                          deadline_ns: Optional[int] = None,
                          thread: Optional[Thread] = None):
@@ -442,9 +454,9 @@ class ThreadsLibrary:
         """
         if thread.bound:
             # Publishing already happened; the park permit absorbs an
-            # unpark that lands before the park syscall blocks.
-            while thread.state not in (ThreadState.RUNNABLE,
-                                       ThreadState.RUNNING):
+            # unpark that lands before the park syscall blocks.  Only a
+            # sleep parks: a bound thread's stop is its LWP's.
+            while thread.state is ThreadState.SLEEPING:
                 try:
                     yield Syscall("lwp_park")
                 except SyscallError as err:
@@ -459,7 +471,6 @@ class ThreadsLibrary:
                 yield SwitchTo(nxt.activity)
             else:
                 yield SwitchTo(self.idle_activity(lwp))
-        thread.wait_queue = None
         thread.sleep_since_ns = None
         value = thread.wake_value
         thread.wake_value = None
@@ -479,25 +490,14 @@ class ThreadsLibrary:
             # stop is committed (this thread runs no more user code), and
             # deferring their unparks would strand any LWP make_runnable
             # popped from the parked list.
-            for lwp_id in self._collect_stop_waiter_unparks(thread):
-                yield Syscall("lwp_unpark", lwp_id)
+            waiters = thread.stop_waiters
+            yield from self.wake_from_queue(waiters, len(waiters))
             yield from self.reschedule(ThreadState.STOPPED)
             return
         # Empty pending set (the common case): skip the delivery
         # generator — with nothing pending it yields nothing.
         if thread.pending:
             yield from self.deliver_pending_signals(ctx)
-
-    def _collect_stop_waiter_unparks(self, thread: Thread) -> list[int]:
-        """Wake thread_stop() callers blocked until this thread stopped."""
-        waiters = getattr(thread, "_stop_waiters", None)
-        if not waiters:
-            return []
-        unparks: list[int] = []
-        for waiter in list(waiters):
-            unparks.extend(self.make_runnable(waiter, value=None))
-        waiters.clear()
-        return unparks
 
     # ================================================== the idle loop
 

@@ -68,8 +68,11 @@ class Thread:
         #: Exit bookkeeping.  "The exit status of a thread is always zero."
         self.exited = False
         self.exit_status = 0
-        #: Deferred thread_stop (takes effect at the next switch point).
+        #: Deferred thread_stop of an unbound thread (takes effect at
+        #: its next switch point).
         self.stop_pending = False
+        #: Threads blocked in thread_stop() until this thread stops.
+        self.stop_waiters: list[Thread] = []
         #: Sync-variable wait bookkeeping (which queue we are on).
         self.wait_queue: Optional[list] = None
         #: Virtual time the current sleep began (hang diagnostics).

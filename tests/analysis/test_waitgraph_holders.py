@@ -3,12 +3,16 @@
 The hang report originally resolved holders for mutexes and condition
 variables only; a deadlock through a semaphore or a reader/writer lock
 showed the waiters but not who was sitting on the resource.  These pin
-the per-primitive holder attribution.
+the per-primitive holder attribution, and the fixed name of a queue the
+report cannot attribute.
 """
+
+import re
 
 import pytest
 
 from repro.errors import DeadlockError
+from repro.hw.isa import GetContext
 from repro import threads
 from repro.sync import Mutex, RwLock, RW_READER, RW_WRITER, Semaphore
 from tests.conftest import run_program
@@ -74,3 +78,19 @@ class TestRwlockHolders:
     def test_writer_holder_blocks_reader(self):
         report = self._run(RW_WRITER, RW_READER)
         assert "rwlock(read) 'rw' held by thread-2" in report
+
+
+class TestUnknownQueue:
+    def test_report_names_no_host_address(self):
+        """A thread asleep on a queue the library does not know is
+        reported under a fixed name, never the queue's host address
+        (which differs from run to run)."""
+        def main():
+            ctx = yield GetContext()
+            yield from ctx.process.threadlib.block_current_on([])
+
+        with pytest.raises(DeadlockError) as exc:
+            run_program(main)
+        report = str(exc.value)
+        assert "thread-1 (pid 1) waits on wait-queue 'unknown'" in report
+        assert re.search(r"@[0-9a-f]{6,}|0x[0-9a-f]+", report) is None

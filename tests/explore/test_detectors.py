@@ -152,6 +152,27 @@ class TestRequestLedger:
         assert not result.findings
 
 
+class TestHeldLocks:
+    def test_a_new_actor_never_inherits_a_dead_actors_locks(self):
+        """An actor that dies holding a lock keeps its table entry; an
+        object allocated afterwards, possibly at the dead actor's
+        address, must not see that entry as its own."""
+        from types import SimpleNamespace
+        from repro.explore.detectors import _HeldLocks
+
+        class Actor:
+            name = "actor"
+
+        held = _HeldLocks()
+        lock = Actor()
+        dead = Actor()
+        held.update(SimpleNamespace(thread=dead, lwp=None), "acquire",
+                    lock, {"mode": "mutex"})
+        del dead
+        candidates = [Actor() for _ in range(64)]
+        assert [c for c in candidates if held.held_of(c)] == []
+
+
 class TestOrphanedResourceDetector:
     """Crash-reclaim coverage: real crash runs through ``run_one`` for
     the repair verdicts, direct event drive for the missed-reclaim case
@@ -221,13 +242,19 @@ class TestOrphanedResourceDetector:
         from types import SimpleNamespace
         return SimpleNamespace(thread=thread, lwp=None)
 
+    class _Stub:
+        """A stand-in thread or lock: hashable, as the detectors key
+        their tables by the object."""
+
+        def __init__(self, name):
+            self.name = name
+
     def test_missed_reclaim_is_an_orphan(self):
-        from types import SimpleNamespace
         from repro.explore.detectors import OrphanedResourceDetector
 
         det = OrphanedResourceDetector()
-        victim = SimpleNamespace(name="victim")
-        sv = SimpleNamespace(name="m")
+        victim = self._Stub("victim")
+        sv = self._Stub("m")
         ctx = self._fake_ctx(victim)
         det.on_sync(ctx, "acquire", sv, {"mode": "write"})
         # Crash with NO owner-dead announcement: the walk missed it.
@@ -236,12 +263,11 @@ class TestOrphanedResourceDetector:
         assert "never transitioned" in det.findings[0].message
 
     def test_announced_reclaim_is_not_an_orphan(self):
-        from types import SimpleNamespace
         from repro.explore.detectors import OrphanedResourceDetector
 
         det = OrphanedResourceDetector()
-        victim = SimpleNamespace(name="victim")
-        sv = SimpleNamespace(name="m")       # owner_dead absent -> False
+        victim = self._Stub("victim")
+        sv = self._Stub("m")                 # owner_dead absent -> False
         ctx = self._fake_ctx(victim)
         det.on_sync(ctx, "acquire", sv, {"mode": "write"})
         det.on_sync(ctx, "owner-dead", sv, {"mode": "write"})

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ThreadError
-from repro.hw.isa import Charge
+from repro.hw.isa import Charge, GetContext
 from repro.runtime import unistd
 from repro import threads
 from repro.threads.thread import ThreadState
@@ -145,6 +145,132 @@ class TestStopContinue:
         run_program(main, ncpus=2)
         assert got["stranded"] == []
         assert "stop_returned_at" in got
+
+    def test_stop_of_thread_that_exits_first_returns(self):
+        """The target exits before its next switch point: its exit
+        releases the stopper, whose thread_stop returns 0."""
+        got = {}
+
+        def target(_):
+            yield Charge(usec(2_000))
+
+        def stopper(tid):
+            got["stop"] = yield from threads.thread_stop(tid)
+
+        def main():
+            yield from threads.thread_setconcurrency(2)
+            tid = yield from threads.thread_create(
+                target, None, flags=threads.THREAD_WAIT)
+            yield Charge(usec(500))     # the target is mid-compute
+            s = yield from threads.thread_create(
+                stopper, tid, flags=threads.THREAD_WAIT)
+            yield from threads.thread_wait(s)
+            yield from threads.thread_wait(tid)
+
+        run_program(main, ncpus=2)
+        assert got == {"stop": 0}
+
+    def test_stopped_stop_waiter_resumes_on_continue(self):
+        """W waits in thread_stop for running T and is stopped itself.
+        T's wake commits both stops; thread_continue(W) then runs W,
+        whose thread_stop returns (W used to go back to sleep on T's
+        emptied stop-waiter list)."""
+        from repro.sync import Semaphore
+        log = []
+
+        def target(sem):
+            yield Charge(usec(1_000))
+            yield from sem.p()
+            log.append("T resumed")
+
+        def waiter(tid):
+            yield from threads.thread_stop(tid)
+            log.append("W stop returned")
+
+        def main():
+            yield from threads.thread_setconcurrency(3)
+            sem = Semaphore()
+            t = yield from threads.thread_create(
+                target, sem, flags=threads.THREAD_WAIT)
+            w = yield from threads.thread_create(
+                waiter, t, flags=threads.THREAD_WAIT)
+            yield Charge(usec(200))     # W sleeps until T stops
+            yield from threads.thread_stop(w)
+            yield Charge(usec(1_500))   # T blocks on the semaphore
+            yield from sem.v()          # T's wake commits both stops
+            yield from threads.thread_yield()
+            assert log == []
+            log.append("continue W")
+            yield from threads.thread_continue(w)
+            yield from threads.thread_wait(w)
+            log.append("continue T")
+            yield from threads.thread_continue(t)
+            yield from threads.thread_wait(t)
+
+        run_program(main, ncpus=3)
+        assert log == ["continue W", "W stop returned", "continue T",
+                       "T resumed"]
+
+    def test_stop_sleeping_bound_thread(self):
+        """A bound thread stopped asleep on a semaphore stops as its
+        LWP: the post wakes the thread, which reads RUNNABLE while its
+        LWP reads STOPPED, and it runs no user code until continued,
+        then resumes holding the semaphore's token."""
+        from repro.kernel.lwp import LwpState
+        from repro.sync import Semaphore
+        log = []
+        seen = {}
+
+        def waiter(sem):
+            log.append("sleep")
+            yield from sem.p()
+            log.append("woke")
+
+        def main():
+            ctx = yield GetContext()
+            sem = Semaphore()
+            tid = yield from threads.thread_create(
+                waiter, sem,
+                flags=threads.THREAD_WAIT | threads.THREAD_BIND_LWP)
+            thread = ctx.process.threadlib.get_thread(tid)
+            yield Charge(usec(200))     # it is asleep on the semaphore
+            yield from threads.thread_stop(tid)
+            seen["stopped asleep"] = thread.state
+            yield from sem.v()
+            yield Charge(usec(1_000))
+            seen["woken"] = (thread.state, thread.lwp.state)
+            log.append("continue")
+            yield from threads.thread_continue(tid)
+            yield from threads.thread_wait(tid)
+            seen["count"] = sem.count
+
+        run_program(main, ncpus=2)
+        assert log == ["sleep", "continue", "woke"]
+        assert seen == {"stopped asleep": ThreadState.SLEEPING,
+                        "woken": (ThreadState.RUNNABLE, LwpState.STOPPED),
+                        "count": 0}
+
+    def test_bound_thread_stops_itself_until_continued(self):
+        """thread_stop(None) on a bound thread suspends its LWP; the
+        thread runs no user code until thread_continue."""
+        log = []
+
+        def stopper(_):
+            log.append("stopping")
+            yield from threads.thread_stop(None)
+            log.append("resumed")
+
+        def main():
+            tid = yield from threads.thread_create(
+                stopper, None,
+                flags=threads.THREAD_WAIT | threads.THREAD_BIND_LWP)
+            yield Charge(usec(500))
+            log.append("continue")
+            yield from threads.thread_continue(tid)
+            yield from threads.thread_wait(tid)
+
+        run_program(main, ncpus=2)
+        assert log == ["stopping", "continue", "resumed"]
 
     def test_continue_of_running_thread_is_noop(self):
         def main():

@@ -143,6 +143,57 @@ class TestWaitSemantics:
         run_program(main, ncpus=3)
         assert got == {"worker": 2, "first": 2, "second": "ThreadError"}
 
+    def test_wait_any_loser_of_the_hand_off_gets_thread_error(self):
+        """Two any-waiters asleep when the only THREAD_WAIT thread exits:
+        it is handed to the first, and the exit wakes the second to scan
+        again, which raises as the same call made after the hand-off
+        does (it used to sleep forever)."""
+        got = {}
+
+        def worker(_):
+            yield Charge(usec(1_000))
+
+        def waiter(name):
+            try:
+                got[name] = yield from threads.thread_wait(None)
+            except ThreadError:
+                got[name] = "ThreadError"
+
+        def main():
+            got["worker"] = yield from threads.thread_create(
+                worker, None, flags=threads.THREAD_WAIT)
+            for name in ("a", "b"):
+                yield from threads.thread_create(
+                    waiter, name, flags=threads.THREAD_BIND_LWP)
+
+        run_program(main, ncpus=3)
+        assert got == {"worker": 2, "a": 2, "b": "ThreadError"}
+
+    def test_wait_any_wakes_when_a_joiner_reaps_the_last_thread(self):
+        """An any-waiter asleep while thread_wait(tid) reaps the only
+        THREAD_WAIT thread wakes at that exit and raises."""
+        got = {}
+
+        def worker(_):
+            yield Charge(usec(1_000))
+
+        def any_waiter(_):
+            try:
+                got["any"] = yield from threads.thread_wait(None)
+            except ThreadError:
+                got["any"] = "ThreadError"
+
+        def main():
+            tid = yield from threads.thread_create(
+                worker, None, flags=threads.THREAD_WAIT)
+            yield from threads.thread_create(
+                any_waiter, None, flags=threads.THREAD_BIND_LWP)
+            yield Charge(usec(200))     # the any-waiter is asleep
+            got["joined"] = yield from threads.thread_wait(tid)
+
+        run_program(main, ncpus=3)
+        assert got == {"joined": 2, "any": "ThreadError"}
+
 
 class TestIdReuse:
     def test_non_waitable_id_reused_after_exit(self):
