@@ -26,17 +26,26 @@ Host performance
 ``_step`` and the effect interpreters are the simulator's innermost loop;
 they obey the hot-path rules of ARCHITECTURE §10:
 
-* A step normally allocates no event-queue entry at all.
-  ``_schedule_step`` reserves the step's ``(time, seq)`` and parks it in
-  the engine's front slot; the engine runs it in place when nothing
-  queued sorts first, and otherwise (or outside ``run()``) it becomes an
-  ordinary ``Event`` with the same key (:mod:`repro.sim.engine`).
+* A step normally allocates no event-queue entry at all.  It reserves
+  its ``(time, seq)`` and takes this CPU's entry in the engine's step
+  slots (``engine.slots``, one per CPU, in key order); the engine runs
+  it in place when nothing queued sorts first, and ``run()`` queues it
+  as an ordinary ``Event`` with the same key on its way out
+  (:mod:`repro.sim.engine`).
+* ``_step`` has one exit: every inline path sets the step's cost and
+  falls through to one booking and one schedule at the end.  The
+  schedule is ``_schedule_step``'s common case inline (no step pending;
+  a step runs only inside ``run()``); a step that dispatched its CPU
+  anew, and ``assign`` and the ``_DISPATCH`` handlers, call
+  ``_schedule_step``.
 * ``Charge``, ``GetContext`` and ``Syscall``, the most frequent effects,
   are handled inline in ``_step`` (matched by exact type), and so is the
   common kernel-to-user return: a kernel frame, not an injected signal
   handler, returning to the user frame below it.  A trap makes one
   kernel call (``Kernel.trap``) and a return one
-  (``Kernel.kernel_exit_check``), besides the LWP's time accounting.
+  (``Kernel.kernel_exit_check``).  The LWP's time is booked inline too;
+  its interval timers, profiling and RLIMIT_CPU are checked
+  (``Lwp.meter``) only while one is armed (``Lwp.metered``).
   The other effects dispatch through a *type-keyed table*
   (``_DISPATCH``), one dict lookup on ``type(effect)`` instead of an
   isinstance chain; their subclasses resolve through the MRO once and
@@ -53,6 +62,7 @@ they obey the hot-path rules of ARCHITECTURE §10:
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heappush
 from typing import Any, Optional
 
@@ -108,17 +118,15 @@ class CPU:
         self.lwp = None  # currently running LWP
         # The ExecContext of the current dispatch (None while idle).
         self.ctx: Optional[ExecContext] = None
-        # The next step is either an Event in the queue (_step_event) or
-        # parked in the engine's front slot (engine.parked is self, key
-        # in parked_ns / parked_seq), never both.
-        self._step_event = None
-        self.parked_ns = 0
-        self.parked_seq = 0
+        # The next step: None, an Event in the queue, or this CPU's
+        # ``(time_ns, seq, cpu)`` entry in ``engine.slots``.
+        self._pending = None
         self._step_tag = f"cpu-{index}.step"
         # Hot-path caches: a step is (re)scheduled once per effect, so
-        # the queue and the bound _step (the engine runs a parked step as
-        # ``step()``) are resolved here rather than per call.
+        # the queue, the slot list and the bound _step (the engine runs
+        # a slotted step as ``step()``) are resolved here, not per call.
         self._queue = engine.queue
+        self._slots = engine.slots
         self.step = self._step
         self._charge_end_ns: Optional[int] = None
         # Virtual time the current LWP was assigned.  Feeds both the
@@ -176,7 +184,7 @@ class CPU:
                 span = self.engine.now_ns - self._oncpu_since
                 m = self.engine.metrics
                 if m is not None:
-                    m.observe(_ONCPU_BY_CLASS[lwp.sched_class.value], span)
+                    m.observe(_ONCPU_BY_CLASS[lwp.sched_class._value_], span)
                     m.count(_ONCPU_BY_LWP[lwp.name], span)
                 if self.kernel is not None:
                     # Policy span bookkeeping (CFS vruntime, SJF burst
@@ -220,46 +228,42 @@ class CPU:
     def _schedule_step(self, delay_ns: int) -> None:
         """Make the next step due ``delay_ns`` from now.
 
-        Reserves the step's ``(time, seq)`` exactly as a queue push would
-        and parks it in the engine's front slot, replacing this CPU's own
-        pending step and unparking another CPU's.  Outside ``run()`` it
-        goes straight on to the queue.  delay_ns comes from the cost model
+        Reserves the step's ``(time, seq)`` exactly as a queue push would,
+        replacing this CPU's own pending step, and slots it in the engine
+        (``engine.slots``, kept in key order).  Outside ``run()`` it goes
+        straight on to the queue.  delay_ns comes from the cost model
         (validated non-negative at Charge construction).
         """
-        ev = self._step_event
-        if ev is not None:
-            ev.cancelled = True
-            self._step_event = None
+        if self._pending is not None:
+            self._cancel_step()
         engine = self.engine
-        parked = engine.parked
-        if parked is not None and parked is not self:
-            parked.unpark()
         q = self._queue
         seq = q._seq
         q._seq = seq + 1
-        engine.parked = self
-        self.parked_ns = engine.now_ns + delay_ns
-        self.parked_seq = seq
-        if not engine._running:
+        entry = (engine.now_ns + delay_ns, seq, self)
+        self._pending = entry
+        if engine._running:
+            insort(self._slots, entry)
+        else:
             self.unpark()
 
     def unpark(self) -> None:
-        """Move the parked step into the queue as an ordinary Event with
-        its reserved ``(time, seq)`` (called by the engine)."""
-        self.engine.parked = None
-        t = self.parked_ns
-        seq = self.parked_seq
+        """Queue the slotted step as an ordinary Event with its reserved
+        ``(time, seq)`` (the engine calls this as ``run()`` returns)."""
+        t, seq, _ = self._pending
         ev = Event(t, seq, self.step, self._step_tag)
         heappush(self._queue._heap, (t, seq, ev))
-        self._step_event = ev
+        self._pending = ev
 
     def _cancel_step(self) -> None:
-        ev = self._step_event
-        if ev is not None:
-            ev.cancelled = True
-            self._step_event = None
-        elif self.engine.parked is self:
-            self.engine.parked = None
+        pending = self._pending
+        if pending is None:
+            return
+        self._pending = None
+        if pending.__class__ is tuple:
+            self._slots.remove(pending)
+        else:
+            pending.cancelled = True
 
     def _account(self, ns: int, kernel: bool = False) -> None:
         if kernel:
@@ -270,8 +274,9 @@ class CPU:
             self.lwp.account(ns, kernel=kernel)
 
     def _step(self) -> None:
-        """Execute one effect of the current activity."""
-        self._step_event = None
+        """Execute one effect of the current activity, then make the next
+        step due after its cost, at the one exit below."""
+        self._pending = None
         self._charge_end_ns = None
         lwp = self.lwp
         if lwp is None:  # raced with preemption/block; nothing to do
@@ -288,10 +293,14 @@ class CPU:
             self.kernel.dispatcher.on_preempted(lwp)
             return
 
+        # What the step costs: ``ns``, booked below as kernel time
+        # (``kernel`` true), user time (false) or not at all (None).
+        engine = self.engine
         ns = activity.pending_charge_ns
         if ns > 0:
             # Finish an interrupted charge before touching the generator.
             activity.pending_charge_ns = 0
+            kernel = frames[-1].mode is _KERNEL
         else:
             frame = frames[-1]
             activity.started = True
@@ -299,7 +308,6 @@ class CPU:
             # push frames onto this activity (kernel signal delivery
             # checks this flag and defers instead).
             self._stepping_activity = activity
-            engine = self.engine
             engine.stepping_cpu = self
             try:
                 if activity.resume_exc is not None:
@@ -310,11 +318,13 @@ class CPU:
                     value = activity.resume_value
                     activity.resume_value = None
                     effect = frame.gen.send(value)
+                cls = effect.__class__
             except StopIteration as stop:
                 if (frame.mode is _KERNEL and frame.saved_resume is None
                         and len(frames) > 1 and frames[-2].mode is _USER):
                     # Kernel-to-user return (a syscall or fault handler
                     # finished): _frame_returned's common case, inline.
+                    # The exit is booked before the kernel's signal check.
                     frames.pop()
                     value = stop.value
                     activity.resume_value = value
@@ -329,16 +339,19 @@ class CPU:
                                   engine.now_ns - frame.enter_ns)
                     ns = self.costs.syscall_exit
                     self.kernel_ns += ns
-                    if self.lwp is not None:
-                        self.lwp.account(ns, True)
+                    booked = self.lwp
+                    if booked is not None:
+                        booked.system_ns += ns
+                        if booked.metered:
+                            booked.meter(ns, True)
                     ctx = self.ctx
                     if ctx is None or ctx.lwp is not lwp:
                         ctx = ExecContext(self, lwp)
                     self.kernel.kernel_exit_check(ctx)
-                    self._schedule_step(ns)
+                    cls = kernel = None
                 else:
                     self._frame_returned(lwp, activity, stop.value)
-                return
+                    return
             except (SyscallError, InterruptedSleep) as exc:
                 self._frame_raised(lwp, activity, exc)
                 return
@@ -346,58 +359,77 @@ class CPU:
                 self._stepping_activity = None
                 engine.stepping_cpu = None
 
-            cls = effect.__class__
-            if cls is not _Charge:
-                if cls is _GetContext:
-                    activity.resume_value = self._context(lwp)
-                    activity.resume_exc = None
-                    self._schedule_step(0)
-                    return
-                if cls is _Syscall:
-                    # Trap: _enter_kernel, inline.
-                    name = effect.name
-                    if self.tracer.want_syscall:
-                        self.tracer.emit(engine.now_ns, "syscall", "enter",
-                                         lwp.name, call=name)
-                    ctx = self.ctx
-                    if ctx is None or ctx.lwp is not lwp:
-                        ctx = ExecContext(self, lwp)
-                    frame = Frame(self.kernel.trap(ctx, name, effect.args,
-                                                   effect.kwargs),
-                                  _KERNEL, _SYS_LABELS[name])
-                    if engine.metrics is not None:
-                        frame.enter_ns = engine.now_ns
-                    frames.append(frame)
-                    activity.resume_value = None
-                    activity.resume_exc = None
-                    ns = self.costs.syscall_entry
-                    self.kernel_ns += ns
-                    if self.lwp is not None:
-                        self.lwp.account(ns, True)
-                    self._schedule_step(ns)
-                    return
+            if cls is _Charge:
+                ns = effect.ns
+                kernel = frames[-1].mode is _KERNEL
+            elif cls is _Syscall:
+                # Trap: _enter_kernel, inline.
+                name = effect.name
+                if self.tracer.want_syscall:
+                    self.tracer.emit(engine.now_ns, "syscall", "enter",
+                                     lwp.name, call=name)
+                ctx = self.ctx
+                if ctx is None or ctx.lwp is not lwp:
+                    ctx = ExecContext(self, lwp)
+                frame = Frame(self.kernel.trap(ctx, name, effect.args,
+                                               effect.kwargs),
+                              _KERNEL, _SYS_LABELS[name])
+                if engine.metrics is not None:
+                    frame.enter_ns = engine.now_ns
+                frames.append(frame)
+                activity.resume_value = None
+                activity.resume_exc = None
+                ns = self.costs.syscall_entry
+                kernel = True
+            elif cls is _GetContext:
+                # ns is 0: no charge was pending.
+                ctx = self.ctx
+                if ctx is None or ctx.lwp is not lwp:
+                    ctx = ExecContext(self, lwp)
+                activity.resume_value = ctx
+                activity.resume_exc = None
+                kernel = None
+            elif cls is not None:
                 handler = _DISPATCH.get(cls)
                 if handler is None:
                     handler = _resolve_effect_handler(effect)
                 handler(self, lwp, activity, effect)
                 return
-            ns = effect.ns
 
-        # Consume CPU time, then step again: _account inlined.  The full
-        # amount is booked up front; if a user-mode charge is preempted,
-        # request_preempt() refunds the unused remainder.  The LWP booked
-        # is the one on the CPU now, which the generator may have changed.
-        if frames[-1].mode is _KERNEL:
-            self.kernel_ns += ns
-            if self.lwp is not None:
-                self.lwp.account(ns, True)
+        # Book the time: _account inlined, and the LWP's watchers only
+        # while one is armed.  The full amount is booked up front; if a
+        # user-mode charge is preempted, request_preempt() refunds the
+        # unused remainder.  The LWP booked is the one on the CPU now,
+        # which the generator may have changed.
+        if kernel is not None:
+            booked = self.lwp
+            if kernel:
+                self.kernel_ns += ns
+                if booked is not None:
+                    booked.system_ns += ns
+                    if booked.metered:
+                        booked.meter(ns, True)
+            else:
+                self.user_ns += ns
+                if booked is not None:
+                    booked.user_ns += ns
+                    if booked.metered:
+                        booked.meter(ns, False)
+                if ns > 0:
+                    self._charge_end_ns = engine.now_ns + ns
+
+        # The one exit: _schedule_step inline (a step runs only inside
+        # run()), unless the step dispatched this CPU anew and so left a
+        # step pending.
+        if self._pending is None:
+            q = self._queue
+            seq = q._seq
+            q._seq = seq + 1
+            entry = (engine.now_ns + ns, seq, self)
+            self._pending = entry
+            insort(self._slots, entry)
         else:
-            self.user_ns += ns
-            if self.lwp is not None:
-                self.lwp.account(ns, False)
-            if ns > 0:
-                self._charge_end_ns = self.engine.now_ns + ns
-        self._schedule_step(ns)
+            self._schedule_step(ns)
 
     def _context(self, lwp) -> ExecContext:
         """The ExecContext of ``lwp`` on this CPU: the dispatch's shared

@@ -286,17 +286,19 @@ class Kernel:
 
     def _maybe_sigwaiting(self, proc: Process) -> None:
         """Post SIGWAITING when every LWP waits on an indefinite event."""
+        # The cheap tests first, the walk over the LWPs last; none has
+        # a side effect, so the order changes no post.
         if proc.sigwaiting_posted or proc.dying:
             return
-        if not proc.all_lwps_blocked_indefinitely():
-            return
-        action = proc.signals.action(Sig.SIGWAITING)
-        if not action.is_caught():
-            return  # default is to ignore; don't bother
         if proc.sigwaiting_streak >= self.SIGWAITING_STREAK_LIMIT:
             # Every recent post was fruitless (handler bailed, nothing
             # woke): stop pelting the process so the event queue can
             # drain and deadlock detection can see the wedge.
+            return
+        action = proc.signals.actions.get(Sig.SIGWAITING)
+        if action is None or not action.is_caught():
+            return  # default is to ignore; don't bother
+        if not proc.all_lwps_blocked_indefinitely():
             return
         now = self.engine.now_ns
         if now - proc.last_sigwaiting_ns < self.SIGWAITING_THROTTLE_NS:
@@ -617,7 +619,7 @@ class Kernel:
         if limit is None:
             return
         if proc.cpu_ns() > limit:
-            proc.rlimits.cpu_ns = None  # one notification per setting
+            proc.set_cpu_limit(None)  # one notification per setting
             self.post_signal(proc, Sig.SIGXCPU, target_lwp=lwp)
 
     # ----------------------------------------------------------- stop/cont

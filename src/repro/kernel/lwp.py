@@ -45,32 +45,30 @@ class SchedClass(enum.Enum):
     (see :mod:`repro.kernel.sched.policy`): fair-share by virtual
     runtime (CFS), multilevel feedback queue (MLFQ), shortest job first
     (SJF), and hierarchical round-robin over process groups (HRR).
+
+    Each member's ``base`` is its priority band; higher effective
+    priority always dispatches first.  Real-time sits above every
+    timeshare priority, per the Chorus comparison ("a thread [can] bind
+    to an LWP ... and ask that the underlying LWP be made a member of a
+    real-time scheduling class").  The pluggable timesharing-family
+    classes share the timeshare band: they arbitrate against RT/GANG
+    exactly as TS does.
     """
 
-    TIMESHARE = "TS"
-    REALTIME = "RT"
-    GANG = "GANG"
-    CFS = "CFS"
-    MLFQ = "MLFQ"
-    SJF = "SJF"
-    HRR = "HRR"
+    def __new__(cls, value: str, base: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.base = base
+        return member
 
+    TIMESHARE = "TS", 0
+    REALTIME = "RT", 200
+    GANG = "GANG", 100
+    CFS = "CFS", 0
+    MLFQ = "MLFQ", 0
+    SJF = "SJF", 0
+    HRR = "HRR", 0
 
-#: Priority bands per class; higher effective priority always dispatches
-#: first.  Real-time sits above every timeshare priority, per the Chorus
-#: comparison ("a thread [can] bind to an LWP ... and ask that the
-#: underlying LWP be made a member of a real-time scheduling class").
-#: The pluggable timesharing-family classes share the timeshare band:
-#: they arbitrate against RT/GANG exactly as TS does.
-CLASS_BASE = {
-    SchedClass.TIMESHARE: 0,
-    SchedClass.GANG: 100,
-    SchedClass.REALTIME: 200,
-    SchedClass.CFS: 0,
-    SchedClass.MLFQ: 0,
-    SchedClass.SJF: 0,
-    SchedClass.HRR: 0,
-}
 
 #: Priority range within a class.
 PRIO_MIN = 0
@@ -143,6 +141,13 @@ class Lwp:
         # individually"; buffer may be shared).
         self.profiling = None            # kernel.profil.ProfilingState
 
+        # True while an interval timer or profiling is armed, or the
+        # process has RLIMIT_CPU set: only then does a charge run
+        # meter().  Its inputs change only through set_itimer,
+        # set_profiling, Process.set_cpu_limit and Process.add_lwp (and
+        # a timer running out in meter()), each of which recomputes it.
+        self.metered = False
+
         # lwp_park/lwp_unpark: the private sleep spot of this LWP, plus the
         # permit that absorbs an unpark arriving before the park.
         self.park_channel: Optional[object] = None
@@ -160,30 +165,63 @@ class Lwp:
     # --------------------------------------------------------- accounting
 
     def account(self, ns: int, kernel: bool = False) -> None:
-        """Charge CPU time to this LWP (called by the CPU executor).
+        """Charge CPU time to this LWP (the CPU executor's generic
+        booking; ``CPU._step`` books the same way inline).
 
-        Also decrements the per-LWP interval timers; expiry is detected by
-        the timer module's periodic check rather than here, to keep this
-        hot path cheap.
+        Books user or system time, then runs :meth:`meter` only while
+        :attr:`metered` says a watcher is armed.
         """
         if kernel:
             self.system_ns += ns
         else:
             self.user_ns += ns
-            if self.vtimer_remaining_ns > 0:
-                self.vtimer_remaining_ns = max(
-                    0, self.vtimer_remaining_ns - ns)
-                if self.vtimer_remaining_ns == 0 and self.kernel is not None:
+        if self.metered:
+            self.meter(ns, kernel)
+
+    def meter(self, ns: int, kernel: bool) -> None:
+        """The watchers of a charge already booked, in order: the
+        interval timers, profiling, RLIMIT_CPU.  A timer that runs out
+        recomputes :attr:`metered`."""
+        if not kernel and self.vtimer_remaining_ns > 0:
+            self.vtimer_remaining_ns = max(0, self.vtimer_remaining_ns - ns)
+            if self.vtimer_remaining_ns == 0:
+                if self.kernel is not None:
                     self.kernel.on_lwp_timer_expired(self, virtual=True)
+                self.update_metered()
         if self.ptimer_remaining_ns > 0:
             self.ptimer_remaining_ns = max(0, self.ptimer_remaining_ns - ns)
-            if self.ptimer_remaining_ns == 0 and self.kernel is not None:
-                self.kernel.on_lwp_timer_expired(self, virtual=False)
+            if self.ptimer_remaining_ns == 0:
+                if self.kernel is not None:
+                    self.kernel.on_lwp_timer_expired(self, virtual=False)
+                self.update_metered()
         if self.profiling is not None and not kernel:
             self.profiling.accumulate(self, ns)
         if (self.kernel is not None and ns > 0
                 and self.process.rlimits.cpu_ns is not None):
             self.kernel.check_cpu_rlimit(self)
+
+    def set_itimer(self, ns: int, virtual: bool) -> int:
+        """Arm ITIMER_VIRTUAL (``virtual``) or ITIMER_PROF to run out
+        after ``ns`` more of this LWP's time (0 disarms it); returns the
+        time the timer had left."""
+        if virtual:
+            old, self.vtimer_remaining_ns = self.vtimer_remaining_ns, ns
+        else:
+            old, self.ptimer_remaining_ns = self.ptimer_remaining_ns, ns
+        self.update_metered()
+        return old
+
+    def set_profiling(self, state) -> None:
+        """Attach a ``kernel.profil.ProfilingState`` to this LWP."""
+        self.profiling = state
+        self.update_metered()
+
+    def update_metered(self) -> None:
+        """Recompute :attr:`metered` from its four inputs."""
+        self.metered = (self.vtimer_remaining_ns > 0
+                        or self.ptimer_remaining_ns > 0
+                        or self.profiling is not None
+                        or self.process.rlimits.cpu_ns is not None)
 
     @property
     def cpu_ns(self) -> int:
@@ -195,7 +233,7 @@ class Lwp:
     @property
     def effective_priority(self) -> int:
         """Global dispatch priority: class base + in-class priority."""
-        return CLASS_BASE[self.sched_class] + self.priority
+        return self.sched_class.base + self.priority
 
     @property
     def preemptible(self) -> bool:

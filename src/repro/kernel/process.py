@@ -116,6 +116,7 @@ class Process:
 
     def add_lwp(self, lwp: Lwp) -> None:
         self.lwps[lwp.lwp_id] = lwp
+        lwp.update_metered()  # RLIMIT_CPU may be set already
 
     def live_lwps(self) -> list[Lwp]:
         """LWPs that have not exited, ascending by id (deterministic)."""
@@ -128,8 +129,21 @@ class Process:
     def all_lwps_blocked_indefinitely(self) -> bool:
         """The SIGWAITING condition: every live LWP is in an indefinite,
         external wait."""
-        live = self.live_lwps()
-        return bool(live) and all(l.is_blocked_indefinitely() for l in live)
+        live = False
+        for lwp in self.lwps.values():
+            if lwp.state is LwpState.ZOMBIE:
+                continue
+            if not lwp.is_blocked_indefinitely():
+                return False
+            live = True
+        return live
+
+    def set_cpu_limit(self, limit: Optional[int]) -> None:
+        """Set RLIMIT_CPU (None clears it), which every LWP's charges
+        check (``Lwp.metered``)."""
+        self.rlimits.cpu_ns = limit
+        for lwp in self.lwps.values():
+            lwp.update_metered()
 
     # ---------------------------------------------------------- accounting
 

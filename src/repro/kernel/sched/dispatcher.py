@@ -46,13 +46,14 @@ class Dispatcher:
         if lwp.state is LwpState.RUNNING:
             return
         lwp.state = LwpState.RUNNABLE
-        pol = self.table.policy_for(lwp)
-        pol.enqueue(lwp, front=front)
+        table = self.table
+        pol = table.insert(lwp, front=front)
         m = self.engine.metrics
         if m is not None:
             lwp.ready_since_ns = self.engine.now_ns
-            m.observe("sched.runq_depth", len(self.table))
-            m.observe(_RUNQ_DEPTH[pol.name], len(pol))
+            m.observe("sched.runq_depth", table.total)
+            m.observe(_RUNQ_DEPTH[pol.sched_class._value_],
+                      table.counts[pol])
         self._place(lwp)
 
     def cpu_idle(self, cpu) -> None:
@@ -147,7 +148,7 @@ class Dispatcher:
         lwp.state = LwpState.RUNNING
         m = self.engine.metrics
         if m is not None:
-            cls = lwp.sched_class.value
+            cls = lwp.sched_class._value_
             m.count(_DISPATCHES[cls])
             ready = lwp.ready_since_ns
             if ready is not None:

@@ -30,7 +30,7 @@ Because their bands are disjoint (TS 0-59, GANG 100-159, RT 200-259),
 per-class queues scanned by best queued priority reproduce a single
 global queue's pick order exactly.
 
-The pluggable classes live in the timeshare band (CLASS_BASE 0), so
+The pluggable classes live in the timeshare band (``base`` 0), so
 they arbitrate against RT and GANG the way TS does:
 
 * **CFS**  — virtual-runtime ordered list; the LWP that has run least
@@ -53,7 +53,7 @@ from collections import deque
 from typing import Callable, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.kernel.lwp import CLASS_BASE, PRIO_MAX, PRIO_MIN, Lwp, SchedClass
+from repro.kernel.lwp import PRIO_MAX, PRIO_MIN, Lwp, SchedClass
 from repro.kernel.sched.runqueue import RunQueue
 
 
@@ -554,19 +554,28 @@ class SchedClassTable:
     goes to the earlier policy in table order — descending class base,
     then name), and the aggregate queue views the old global run queue
     used to provide.
+
+    Every queue operation goes through the table, which counts the
+    queued LWPs per policy (``counts``) and in all (``total``,
+    ``len(table)``): a pick or ``best_priority`` returns at once on an
+    empty table and peeks only the policies that hold an LWP.
     """
 
     def __init__(self, policies: Iterable[SchedPolicy]):
-        self._policies: dict[SchedClass, SchedPolicy] = {}
+        # Keyed by the class's value string, which hashes without a
+        # Python-level Enum.__hash__ call.
+        self._policies: dict[str, SchedPolicy] = {}
         for pol in policies:
-            if pol.sched_class in self._policies:
+            key = pol.sched_class._value_
+            if key in self._policies:
                 raise SimulationError(
-                    f"duplicate scheduling class {pol.sched_class.value}")
-            self._policies[pol.sched_class] = pol
+                    f"duplicate scheduling class {key}")
+            self._policies[key] = pol
         self.ordered: list[SchedPolicy] = sorted(
             self._policies.values(),
-            key=lambda p: (-CLASS_BASE[p.sched_class],
-                           p.sched_class.value))
+            key=lambda p: (-p.sched_class.base, p.sched_class._value_))
+        self.counts: dict[SchedPolicy, int] = dict.fromkeys(self.ordered, 0)
+        self.total = 0
 
     @classmethod
     def default(cls) -> "SchedClassTable":
@@ -577,7 +586,7 @@ class SchedClassTable:
     # ---------------------------------------------------------- lookup
 
     def policy_for(self, lwp) -> SchedPolicy:
-        pol = self._policies.get(lwp.sched_class)
+        pol = self._policies.get(lwp.sched_class._value_)
         if pol is None:
             raise SimulationError(
                 f"scheduling class {lwp.sched_class.value} is not "
@@ -585,7 +594,7 @@ class SchedClassTable:
         return pol
 
     def for_class(self, sched_class: SchedClass) -> Optional[SchedPolicy]:
-        return self._policies.get(sched_class)
+        return self._policies.get(sched_class._value_)
 
     def class_for_name(self, name: str) -> SchedClass:
         """Resolve a class *name* (e.g. from a SchedulerChoice rule);
@@ -596,7 +605,7 @@ class SchedClassTable:
             raise SimulationError(
                 f"unknown scheduling class {name!r} (choose from "
                 f"{', '.join(p.name for p in self.ordered)})") from None
-        if sched_class not in self._policies:
+        if sched_class._value_ not in self._policies:
             raise SimulationError(
                 f"scheduling class {name} is not registered with this "
                 f"kernel")
@@ -604,31 +613,45 @@ class SchedClassTable:
 
     # ----------------------------------------------------- queue views
 
-    def insert(self, lwp, front: bool = False) -> None:
-        self.policy_for(lwp).enqueue(lwp, front=front)
+    def insert(self, lwp, front: bool = False) -> SchedPolicy:
+        """Queue ``lwp`` with its class's policy; returns the policy."""
+        pol = self.policy_for(lwp)
+        pol.enqueue(lwp, front=front)
+        self.counts[pol] += 1
+        self.total += 1
+        return pol
 
     def remove(self, lwp) -> bool:
-        pol = self._policies.get(lwp.sched_class)
-        if pol is not None and pol.remove(lwp):
-            return True
-        # The class may have changed while queued; scan everything
-        # (same fallback the old global queue had for changed
-        # priorities).
-        for other in self.ordered:
-            if other is not pol and other.remove(lwp):
-                return True
-        return False
+        pol = self._policies.get(lwp.sched_class._value_)
+        if pol is None or not pol.remove(lwp):
+            # The class may have changed while queued; scan everything
+            # (same fallback the old global queue had for changed
+            # priorities).
+            for other in self.ordered:
+                if other is not pol and other.remove(lwp):
+                    pol = other
+                    break
+            else:
+                return False
+        self.counts[pol] -= 1
+        self.total -= 1
+        return True
 
     def pick(self, eligible: Callable[[Lwp], bool]) -> Optional[Lwp]:
         """Best eligible LWP across every class, and dequeue it.
 
-        Each policy nominates its own next choice; the highest effective
-        priority wins, ties to the earlier policy in table order.  With
-        the disjoint classic bands this reproduces the old global
-        multilevel queue's scan exactly.
+        Each policy holding an LWP nominates its own next choice; the
+        highest effective priority wins, ties to the earlier policy in
+        table order.  With the disjoint classic bands this reproduces
+        the old global multilevel queue's scan exactly.
         """
+        if not self.total:
+            return None
+        counts = self.counts
         best_lwp, best_pol, best_prio = None, None, None
         for pol in self.ordered:
+            if not counts[pol]:
+                continue
             cand = pol.peek(eligible)
             if cand is None:
                 continue
@@ -637,18 +660,24 @@ class SchedClassTable:
                 best_lwp, best_pol, best_prio = cand, pol, prio
         if best_lwp is not None:
             best_pol.take(best_lwp)
+            counts[best_pol] -= 1
+            self.total -= 1
         return best_lwp
 
     def best_priority(self) -> Optional[int]:
+        if not self.total:
+            return None
+        counts = self.counts
         best = None
         for pol in self.ordered:
-            p = pol.best_priority()
-            if p is not None and (best is None or p > best):
-                best = p
+            if counts[pol]:
+                p = pol.best_priority()
+                if p is not None and (best is None or p > best):
+                    best = p
         return best
 
     def __len__(self) -> int:
-        return sum(map(len, self.ordered))
+        return self.total
 
     def __contains__(self, lwp) -> bool:
         return any(lwp in pol for pol in self.ordered)

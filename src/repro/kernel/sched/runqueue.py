@@ -8,6 +8,7 @@ timeshare LWP, matching the paper's answer to Chorus's real-time critique.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from typing import Callable, Optional
 
@@ -15,41 +16,56 @@ from repro.kernel.lwp import Lwp
 
 
 class RunQueue:
-    """Priority-indexed FIFO queues of runnable LWPs."""
+    """Priority-indexed FIFO queues of runnable LWPs.
+
+    Only non-empty levels are kept: a level is added when its first LWP
+    arrives and dropped when its last leaves, and ``_prios`` holds their
+    priorities in ascending order, so a scan walks it from the end and
+    never sorts.
+    """
 
     def __init__(self):
         self._queues: dict[int, deque[Lwp]] = {}
+        self._prios: list[int] = []
         self._count = 0
 
     def insert(self, lwp: Lwp, front: bool = False) -> None:
-        q = self._queues.get(lwp.effective_priority)
+        prio = lwp.effective_priority
+        q = self._queues.get(prio)
         if q is None:
-            q = deque()
-            self._queues[lwp.effective_priority] = q
+            q = self._queues[prio] = deque()
+            insort(self._prios, prio)
         if front:
             q.appendleft(lwp)
         else:
             q.append(lwp)
         self._count += 1
 
+    def _take(self, prio: int, lwp: Lwp) -> bool:
+        """Remove ``lwp`` from level ``prio``, dropping the level if it
+        empties; False when it is not queued there."""
+        q = self._queues.get(prio)
+        if q is None:
+            return False
+        try:
+            q.remove(lwp)
+        except ValueError:
+            return False
+        self._count -= 1
+        if not q:
+            del self._queues[prio]
+            self._prios.remove(prio)
+        return True
+
     def remove(self, lwp: Lwp) -> bool:
         """Remove a specific LWP (it was stopped or killed while queued)."""
-        q = self._queues.get(lwp.effective_priority)
-        if q is not None:
-            try:
-                q.remove(lwp)
-                self._count -= 1
-                return True
-            except ValueError:
-                pass
+        prio = lwp.effective_priority
+        if self._take(prio, lwp):
+            return True
         # Priority may have changed while queued; scan everything.
-        for q in self._queues.values():
-            try:
-                q.remove(lwp)
-                self._count -= 1
+        for other in self._prios:
+            if other != prio and self._take(other, lwp):
                 return True
-            except ValueError:
-                continue
         return False
 
     def pick(self, eligible: Callable[[Lwp], bool]) -> Optional[Lwp]:
@@ -57,29 +73,27 @@ class RunQueue:
 
         FIFO within a priority level.
         """
-        for prio in sorted(self._queues, reverse=True):
-            q = self._queues[prio]
-            for lwp in q:
+        queues = self._queues
+        for prio in reversed(self._prios):
+            for lwp in queues[prio]:
                 if eligible(lwp):
-                    q.remove(lwp)
-                    self._count -= 1
+                    self._take(prio, lwp)
                     return lwp
         return None
 
     def peek(self, eligible: Callable[[Lwp], bool]) -> Optional[Lwp]:
         """The LWP :meth:`pick` would return, without removing it."""
-        for prio in sorted(self._queues, reverse=True):
-            for lwp in self._queues[prio]:
+        queues = self._queues
+        for prio in reversed(self._prios):
+            for lwp in queues[prio]:
                 if eligible(lwp):
                     return lwp
         return None
 
     def best_priority(self) -> Optional[int]:
         """Highest priority with a queued LWP, or None when empty."""
-        for prio in sorted(self._queues, reverse=True):
-            if self._queues[prio]:
-                return prio
-        return None
+        prios = self._prios
+        return prios[-1] if prios else None
 
     def __len__(self) -> int:
         return self._count
@@ -90,6 +104,6 @@ class RunQueue:
     def snapshot(self) -> list[Lwp]:
         """All queued LWPs, best priority first (diagnostics)."""
         out: list[Lwp] = []
-        for prio in sorted(self._queues, reverse=True):
+        for prio in reversed(self._prios):
             out.extend(self._queues[prio])
         return out

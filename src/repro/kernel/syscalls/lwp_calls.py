@@ -39,7 +39,7 @@ def sys_lwp_create(ctx, activity, sched_class: SchedClass = None,
         runnable=runnable)
     # Profiling state is inherited from the creating LWP.
     if ctx.lwp.profiling is not None:
-        lwp.profiling = ctx.lwp.profiling.inherit()
+        lwp.set_profiling(ctx.lwp.profiling.inherit())
     # So is the signal mask (a fresh thread/LWP starts with its creator's).
     lwp.sigmask = ctx.lwp.sigmask.copy()
     return lwp.lwp_id

@@ -41,7 +41,7 @@ def sys_setrlimit(ctx, resource: int, limit):
     yield charge(ctx.costs.syscall_service_trivial)
     rl = ctx.process.rlimits
     if resource == RLIMIT_CPU:
-        rl.cpu_ns = limit
+        ctx.process.set_cpu_limit(limit)
     elif resource == RLIMIT_FSIZE:
         rl.fsize_bytes = limit
     elif resource == RLIMIT_NOFILE:
@@ -84,7 +84,7 @@ def sys_profil(ctx, buffer: ProfilingBuffer = None, enable: bool = True):
         return None
     if buffer is None:
         buffer = ProfilingBuffer(name=f"{lwp.name}:prof")
-    lwp.profiling = ProfilingState(buffer)
+    lwp.set_profiling(ProfilingState(buffer))
     return buffer
 
 

@@ -76,13 +76,9 @@ def sys_setitimer(ctx, which: int, interval_ns: int):
                 interval_ns, fire, tag="itimer-real")
         return old
     if which == ITIMER_VIRTUAL:
-        old = lwp.vtimer_remaining_ns
-        lwp.vtimer_remaining_ns = interval_ns
-        return old
+        return lwp.set_itimer(interval_ns, virtual=True)
     if which == ITIMER_PROF:
-        old = lwp.ptimer_remaining_ns
-        lwp.ptimer_remaining_ns = interval_ns
-        return old
+        return lwp.set_itimer(interval_ns, virtual=False)
     raise SyscallError(Errno.EINVAL, "setitimer", f"which {which}")
 
 

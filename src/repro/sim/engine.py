@@ -8,24 +8,27 @@ The engine knows nothing about CPUs or processes; it only runs callbacks.
 Deadlock detection is delegated to an optional ``idle_check`` hook installed
 by the machine, which can inspect kernel state when the event queue drains.
 
-The front slot
---------------
+Step slots
+----------
 
 Most events are a CPU's next step, and most of those sort before
-everything else in the queue.  So a *stepper* (a CPU) may park its next
-step in a one-entry front slot instead of pushing an :class:`Event`.  It
-reserves the step's ``(time_ns, seq)`` from the queue exactly as a push
-would, and sets ``engine.parked`` to itself, with ``parked_ns`` and
-``parked_seq`` holding that key and ``step()`` running the step.  After
-every event, :meth:`Engine.run` runs the parked step in place (no
-``Event``, no heap push or pop) when its key sorts before every live
-queued event and lies within ``until_ns``, and counts it toward
-``max_events`` like any event.  Otherwise it calls the stepper's
-``unpark()``, which pushes the step as an ordinary ``Event`` with its
-reserved key, so the fire order is the one the heap alone would give.
-A stepper parking while another's step is parked unparks that one
-first, and ``run()`` unparks on its way out (return or raise), so
-outside ``run()`` every pending step is an ordinary queued event.
+everything else in the queue.  So a *stepper* (a CPU) need not push an
+:class:`Event` for its next step.  It reserves the step's
+``(time_ns, seq)`` from the queue exactly as a push would, and inserts
+the entry ``(time_ns, seq, stepper)`` into ``engine.slots``, a list
+kept in key order with at most one entry per stepper.  The seq is the
+newest, so the entry goes after every slotted entry whose time is not
+later than its own: the order the heap would give.  :meth:`Engine.run`
+merges the slots with the heap.  When ``slots[0]`` sorts before every
+live queued event (cancelled heap tops are dropped on the way) it runs
+the step in place with ``stepper.step()``: no ``Event``, no heap push
+or pop.  It counts toward ``max_events`` like any event, and a slotted
+step past ``until_ns`` stops the run there.  Otherwise the heap event
+fires and the slots wait.  On its way out (return or raise) ``run()``
+calls ``unpark()`` on every slotted stepper, which pushes the step as
+an ordinary ``Event`` with its reserved key, so outside ``run()`` every
+pending step is an ordinary queued event and ``len(queue)``,
+``peek_time`` and deadlock detection stay exact.
 """
 
 from __future__ import annotations
@@ -89,9 +92,10 @@ class Engine:
         # attribute an in-flight access to its executor without scanning
         # every CPU.
         self.stepping_cpu = None
-        # The stepper whose next step sits in the front slot (see the
-        # module docstring); set only while run() is executing.
-        self.parked = None
+        # The ``(time_ns, seq, stepper)`` entries of the steps that are
+        # reserved but not queued, in key order (see the module
+        # docstring); empty outside run().
+        self.slots: list = []
 
     # ----------------------------------------------------------------- time
 
@@ -155,32 +159,35 @@ class Engine:
         # only (the loop body runs once per simulated effect).
         pop_next = self.queue.pop_next
         heap = self.queue._heap
+        slots = self.slots
         try:
             while True:
-                stepper = self.parked
-                if stepper is not None:
-                    t = stepper.parked_ns
+                if slots:
+                    entry = slots[0]
                     first = True
                     while heap:
                         top = heap[0]
-                        if t < top[0] or (
-                                t == top[0] and stepper.parked_seq < top[1]):
+                        if entry < top:  # keys are unique: never ties
                             break
                         if not top[2].cancelled:
                             first = False
                             break
                         heappop(heap)  # a cancelled entry: drop it
-                    if first and (until_ns is None or t <= until_ns):
-                        # Run the step in place.  It was parked during
-                        # the event just fired, so t >= now.
-                        self.parked = None
+                    if first:
+                        t = entry[0]
+                        if until_ns is not None and t > until_ns:
+                            self._advance_to(until_ns)
+                            break
+                        # Run the step in place.  Every event fired
+                        # since it was slotted sorted before it, so
+                        # t >= now.
+                        del slots[0]
                         self.now_ns = t
-                        stepper.step()
+                        entry[2].step()
                         fired += 1
                         if max_events is not None and fired >= max_events:
                             self._exhausted(max_events)
                         continue
-                    stepper.unpark()
                 next_time, ev = pop_next(until_ns)
                 if ev is None:
                     if next_time is not None:
@@ -204,8 +211,9 @@ class Engine:
                     self._exhausted(max_events)
         finally:
             self._running = False
-            if self.parked is not None:
-                self.parked.unpark()
+            for entry in slots:
+                entry[2].unpark()
+            slots.clear()
             self._events_fired += fired
         return fired
 

@@ -15,7 +15,7 @@ fired.
 Host performance: the heap stores ``(time_ns, seq, event)`` tuples rather
 than bare events, so every sift comparison ``heapq`` makes is a C-level
 tuple comparison instead of a Python ``__lt__`` call.  A CPU step that
-sorts first never enters the heap at all (the engine's front slot, see
+sorts first never enters the heap at all (the engine's step slots, see
 :mod:`repro.sim.engine`); it only reserves a sequence number here.
 """
 

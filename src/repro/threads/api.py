@@ -421,7 +421,10 @@ def thread_continue(thread_id: int):
 
     "The effect of thread_continue() may be delayed" — for an unbound
     thread it becomes runnable; an LWP picks it up when one is free.  A
-    bound thread's LWP is continued whether or not it is stopped.
+    bound thread's LWP is continued whether or not it is stopped.  A
+    continue that cancels a pending stop (an unbound target still
+    running on another LWP) releases the ``thread_stop`` callers waiting
+    for that stop, whose calls return 0.
     """
     ctx = yield GetContext()
     lib = ctx.process.threadlib
@@ -434,6 +437,8 @@ def thread_continue(thread_id: int):
         yield Syscall("lwp_continue", target.lwp.lwp_id)
     elif target.stop_pending:
         target.stop_pending = False
+        waiters = target.stop_waiters
+        yield from lib.wake_from_queue(waiters, len(waiters))
     elif target.state is ThreadState.STOPPED:
         yield from lib.wake_thread(target, value=_KEEP)
     return 0

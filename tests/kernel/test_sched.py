@@ -86,9 +86,8 @@ class TestRunQueue:
 
 class TestSchedClasses:
     def test_rt_outranks_all_ts(self):
-        from repro.kernel.lwp import CLASS_BASE
-        assert (CLASS_BASE[SchedClass.REALTIME] + PRIO_MIN
-                > CLASS_BASE[SchedClass.TIMESHARE] + PRIO_MAX)
+        assert (SchedClass.REALTIME.base + PRIO_MIN
+                > SchedClass.TIMESHARE.base + PRIO_MAX)
 
     def test_rt_has_no_quantum(self):
         class L:

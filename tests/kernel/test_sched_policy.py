@@ -8,12 +8,14 @@ perturbation rule end-to-end.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import Simulator
 from repro.errors import SimulationError, SyscallError
 from repro.hw.context import Activity, as_generator
 from repro.hw.isa import Charge, Syscall
-from repro.kernel.lwp import SchedClass
+from repro.kernel.lwp import Lwp, SchedClass
 from repro.kernel.sched.policy import (CfsPolicy, GangPolicy, HrrPolicy,
                                        MlfqPolicy, RealtimePolicy,
                                        SchedClassTable, SjfPolicy,
@@ -210,6 +212,82 @@ class TestSchedClassTable:
         lwp.sched_class = SchedClass.MLFQ  # changed while queued
         assert table.remove(lwp)
         assert len(table) == 0
+
+
+#: The classes sharing the priority-FIFO queue, between which an LWP
+#: may change class while queued (``GangGroup.add`` does).
+_FIFO_CLASSES = (SchedClass.TIMESHARE, SchedClass.REALTIME,
+                 SchedClass.GANG)
+
+_TABLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 5), st.booleans()),
+    st.tuples(st.just("remove"), st.integers(0, 5)),
+    st.tuples(st.just("pick"), st.just(0), st.frozensets(st.integers(0, 5))),
+    st.tuples(st.just("best"), st.just(0)),
+    st.tuples(st.just("class"), st.integers(0, 5),
+              st.sampled_from(list(SchedClass))),
+    st.tuples(st.just("prio"), st.integers(0, 5), st.integers(0, 59)),
+), max_size=40)
+
+
+def _peek_every_policy(table, eligible):
+    """The reference pick, peeking every policy, empty or not: the
+    highest effective priority among the nominees wins, ties to the
+    earlier policy in table order."""
+    best = None
+    for pol in table.ordered:
+        cand = pol.peek(eligible)
+        if cand is not None and (
+                best is None
+                or cand.effective_priority > best.effective_priority):
+            best = cand
+    return best
+
+
+class TestSchedClassTableCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_TABLE_OPS)
+    # A class change while queued, then a remove and a pick: both find
+    # the LWP in its old class's queue, whose count must drop.
+    @example(ops=[("insert", 0, False), ("class", 0, SchedClass.GANG),
+                  ("remove", 0), ("insert", 1, True),
+                  ("class", 1, SchedClass.REALTIME),
+                  ("pick", 0, frozenset())])
+    def test_counts_match_the_policies_after_every_step(self, ops):
+        table = SchedClassTable.default()
+        lwps = [Lwp(i + 1, FakeProc(1 + i % 2), None) for i in range(6)]
+        queued = set()
+        for kind, i, *arg in ops:
+            lwp = lwps[i]
+            if kind == "insert" and lwp not in queued:
+                table.insert(lwp, front=arg[0])
+                queued.add(lwp)
+            elif kind == "remove":
+                assert table.remove(lwp) == (lwp in queued)
+                queued.discard(lwp)
+            elif kind == "pick":
+                def eligible(l, out=arg[0]):
+                    return l.lwp_id - 1 not in out
+                want = _peek_every_policy(table, eligible)
+                assert table.pick(eligible) is want
+                queued.discard(want)
+            elif kind == "best":
+                prios = [p.best_priority() for p in table.ordered]
+                assert table.best_priority() == max(
+                    (p for p in prios if p is not None), default=None)
+            elif kind == "class":
+                if lwp not in queued:
+                    # The priocntl hand-off: a fresh state blob.
+                    lwp.sched_class = arg[0]
+                    lwp.sched_state = None
+                elif lwp.sched_class in _FIFO_CLASSES \
+                        and arg[0] in _FIFO_CLASSES:
+                    lwp.sched_class = arg[0]
+            elif kind == "prio":
+                lwp.priority = arg[0]
+            assert len(table) == sum(map(len, table.ordered)) == len(queued)
+            assert [table.counts[p] for p in table.ordered] == \
+                [len(p) for p in table.ordered]
 
 
 class TestPriocntlClassChange:

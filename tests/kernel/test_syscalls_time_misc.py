@@ -4,7 +4,7 @@ poll, and uname."""
 import pytest
 
 from repro.errors import Errno, SyscallError
-from repro.hw.isa import Charge, Syscall
+from repro.hw.isa import Charge, GetContext, Syscall
 from repro.kernel.signals import Sig
 from repro.kernel.syscalls.misc_calls import (RLIMIT_CPU, RLIMIT_FSIZE,
                                               RUSAGE_LWP, RUSAGE_SELF)
@@ -239,6 +239,45 @@ class TestRlimits:
         run_program(main)
         assert hits == ["xcpu"]
 
+    @staticmethod
+    def _sigxcpu_taker(limit_first: bool):
+        """A bound thread burns ten 1 ms charges while main waits;
+        main sets RLIMIT_CPU before or after creating it.  Returns the
+        (LWP id, virtual time) of each SIGXCPU handler run."""
+        hits = []
+
+        def handler(sig):
+            ctx = yield GetContext()
+            hits.append((ctx.lwp.lwp_id, ctx.engine.now_ns))
+            yield Charge(usec(1))
+
+        def burner(_):
+            for _ in range(10):
+                yield Charge(usec(1_000))
+                yield from unistd.getpid()  # delivery point
+
+        def main():
+            yield from unistd.sigaction(int(Sig.SIGXCPU), handler)
+            if limit_first:
+                yield from unistd.setrlimit(RLIMIT_CPU, usec(5_000))
+            tid = yield from threads.thread_create(
+                burner, None,
+                flags=threads.THREAD_WAIT | threads.THREAD_BIND_LWP)
+            if not limit_first:
+                yield from unistd.setrlimit(RLIMIT_CPU, usec(5_000))
+            yield from threads.thread_wait(tid)
+
+        run_program(main, ncpus=2)
+        return hits
+
+    def test_cpu_limit_set_by_one_lwp_signals_a_sibling(self):
+        """The process total crosses the limit in the sibling's charge,
+        so the sibling takes SIGXCPU."""
+        assert self._sigxcpu_taker(limit_first=False) == [(2, usec(4_577))]
+
+    def test_cpu_limit_signals_an_lwp_created_after_it(self):
+        assert self._sigxcpu_taker(limit_first=True) == [(2, usec(4_612))]
+
     def test_fsize_limit_sends_sigxfsz_and_fails_write(self):
         from repro.kernel.fs.file import O_CREAT, O_RDWR
         hits = []
@@ -305,6 +344,27 @@ class TestProfiling:
 
         run_program(main, ncpus=2)
         assert got["buf"].total_ns >= usec(4_000)
+
+    def test_lwp_create_inherits_profiling(self):
+        """A bound thread's LWP, created by a profiling LWP, books its
+        user time into the creator's buffer."""
+        got = {}
+
+        def child(_):
+            yield Charge(usec(2_000))
+
+        def main():
+            buf = yield from unistd.profil()
+            yield Charge(usec(1_000))
+            tid = yield from threads.thread_create(
+                child, None,
+                flags=threads.THREAD_WAIT | threads.THREAD_BIND_LWP)
+            yield from threads.thread_wait(tid)
+            got["samples"] = dict(buf.samples)
+
+        run_program(main, ncpus=2)
+        assert got["samples"] == {"pid1-main": usec(1_189), "t2": usec(2_000),
+                                  "lwp-1.1-idle": usec(157)}
 
     def test_disable(self):
         got = {}

@@ -1,15 +1,17 @@
 """The CPU's fast paths are exactly the plain paths they shortcut.
 
-A CPU parks its next step in the engine's front slot and the engine runs
+A CPU slots its next step in the engine's step slots and the engine runs
 it in place when it sorts first (see ``repro.sim.engine``), and
 ``CPU._step`` traps and returns from the kernel inline (see
 ``repro.hw.cpu``).  These tests pin that both are pure host-side
 shortcuts:
 
-* generated guest programs give the same trace digest, ``events_fired``
-  and final clock as with every step forced through the heap (the
-  reference is built here by patching ``CPU._schedule_step`` to unpark
-  at once, so every step becomes an ordinary Event with its reserved
+* generated guest programs, on one to three CPUs, give the same trace
+  digest, ``events_fired`` and final clock as with every step forced
+  through the heap (the reference is built here by patching
+  ``CPU._step``, whose end schedules the next step inline, and
+  ``CPU._schedule_step`` to unslot and unpark every slotted step at
+  once, so every step becomes an ordinary Event with its reserved
   ``(time, seq)``);
 * generated programs, metrics on, give the same digest, ``events_fired``,
   clock and metrics JSON as with every trap sent through
@@ -185,16 +187,30 @@ def _run(program, ncpus, bound, preempt, seed, metrics=False):
     return out
 
 
+def _unslot(engine):
+    slots = engine.slots
+    for entry in slots:
+        entry[2].unpark()
+    slots.clear()
+
+
 def _queued_only(mp):
-    """Force every step through the heap: unpark right after parking."""
-    inner = CPU._schedule_step
+    """Force every step through the heap: whatever slots a step (the end
+    of ``CPU._step``, or ``CPU._schedule_step``) unslots and unparks it
+    at once."""
+    step = CPU._step
+    schedule = CPU._schedule_step
 
-    def schedule_step(self, delay_ns):
-        inner(self, delay_ns)
-        if self.engine.parked is self:
-            self.unpark()
+    def step_then_unslot(self):
+        step(self)
+        _unslot(self.engine)
 
-    mp.setattr(CPU, "_schedule_step", schedule_step)
+    def schedule_then_unslot(self, delay_ns):
+        schedule(self, delay_ns)
+        _unslot(self.engine)
+
+    mp.setattr(CPU, "_step", step_then_unslot)
+    mp.setattr(CPU, "_schedule_step", schedule_then_unslot)
 
 
 class _NotAnEffect:
@@ -236,7 +252,7 @@ def _generic_route(mp):
 
 class TestSameResultWithAndWithoutTheSlot:
     @SIM_SETTINGS
-    @given(program=PROGRAMS, ncpus=st.integers(1, 2), bound=st.booleans(),
+    @given(program=PROGRAMS, ncpus=st.integers(1, 3), bound=st.booleans(),
            preempt=st.booleans(), seed=st.integers(0, 999))
     def test_digest_events_and_clock_match(self, program, ncpus, bound,
                                            preempt, seed):
@@ -249,7 +265,7 @@ class TestSameResultWithAndWithoutTheSlot:
 
 class TestSameResultInlineAndGeneric:
     @SIM_SETTINGS
-    @given(program=PROGRAMS, ncpus=st.integers(1, 2), bound=st.booleans(),
+    @given(program=PROGRAMS, ncpus=st.integers(1, 3), bound=st.booleans(),
            preempt=st.booleans(), seed=st.integers(0, 999))
     def test_digest_events_clock_and_metrics_match(self, program, ncpus,
                                                    bound, preempt, seed):
@@ -349,21 +365,55 @@ class TestExactGuards:
         assert sim.engine.events_fired == whole.engine.events_fired
 
 
+def _kill_self_at_syscall_exit():
+    yield Charge(usec(10))
+    me = yield from unistd.getpid()
+    yield from unistd.kill(me, int(Sig.SIGTERM))
+    yield Charge(usec(10))
+
+
+def _bystander():
+    yield Charge(usec(30))
+
+
+def test_a_step_that_hands_its_cpu_over_keeps_the_heap_order():
+    """A default SIGTERM delivered at the kill's syscall exit ends the
+    process inside the stepping CPU's own step, and another process's
+    LWP is dispatched onto that CPU before the step's exit.  The exit
+    then reschedules through ``_schedule_step``, replacing the new
+    dispatch's step.  Events, clock and digest are pinned to what the
+    tree before per-CPU slots gave, defect included: the new LWP's
+    first step comes after the old step's 15 us syscall exit, not its
+    own 80 us dispatch, while the CPU books both (845 us busy in a
+    735 us run)."""
+    sink = DigestSink()
+    sim = Simulator(ncpus=1, trace=True, trace_sink=sink, trace_store=False)
+    victim = sim.spawn(_kill_self_at_syscall_exit)
+    sim.spawn(_bystander)
+    sim.run()
+    assert victim.exit_status == 128 + int(Sig.SIGTERM)
+    assert (sim.engine.events_fired, sim.engine.now_ns) == (17, usec(735))
+    assert sink.hexdigest() == ("6307a3456a7e98e8508d3f605ae5e711"
+                                "d52cfd6db0fac11e5b87a62512b0c094")
+
+
 def _park_then_release(queued_only):
-    """Park a step and take the LWP off the CPU within one event."""
-    sim = _spin_sim()
-    cpu = sim.machine.cpus[0]
-    parked = []
-
-    def kick():
-        cpu._schedule_step(0)
-        parked.append(sim.engine.parked is cpu)
-        cpu.release()
-
-    sim.engine.call_at(usec(50), kick)
+    """Slot a step and take the LWP off the CPU within one event."""
     with pytest.MonkeyPatch.context() as mp:
         if queued_only:
+            # Before the simulator is built: each CPU binds its step
+            # (``CPU.step``) at construction.
             _queued_only(mp)
+        sim = _spin_sim()
+        cpu = sim.machine.cpus[0]
+        parked = []
+
+        def kick():
+            cpu._schedule_step(0)
+            parked.append([e[2] for e in sim.engine.slots] == [cpu])
+            cpu.release()
+
+        sim.engine.call_at(usec(50), kick)
         sim.run(until_usec=100, check_deadlock=False)
     return parked, sim.engine.events_fired, len(sim.engine.queue)
 

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.api import Simulator
 from repro.errors import DeadlockError, SimulationError
+from repro.hw.isa import Charge
+from repro.runtime import unistd
+from repro.sim.clock import usec
 from repro.sim.engine import Engine
 
 
@@ -238,3 +242,91 @@ class TestDeterminism:
         eng2.rng.stream("b").random()
         a2 = [eng2.rng.stream("a").random() for _ in range(3)]
         assert a1 == a2
+
+
+def _recording_cpus(ncpus):
+    """A machine whose CPUs' steps only record ``(time, cpu index)``
+    (the CPUs run no LWP)."""
+    sim = Simulator(ncpus=ncpus)
+    fired = []
+    for cpu in sim.machine.cpus:
+        def step(cpu=cpu):
+            cpu._step()  # with no LWP it only clears the pending step
+            fired.append((sim.engine.now_ns, cpu.index))
+        cpu.step = step
+    return sim, fired
+
+
+class TestStepSlots:
+    """Per-CPU step slots (see ``repro.sim.engine``): the engine merges
+    the slotted steps with the heap in ``(time, seq)`` order."""
+
+    def test_three_slotted_steps_fire_in_seq_order(self):
+        sim, fired = _recording_cpus(3)
+        eng = sim.engine
+        cpus = sim.machine.cpus
+        slotted = []
+
+        def slot_all():
+            for i in (2, 0, 1):
+                cpus[i]._schedule_step(10)
+            slotted.append([entry[2].index for entry in eng.slots])
+            # Queued at the same time, with a later seq than all three.
+            eng.call_after(10, lambda: fired.append((eng.now_ns, "event")))
+
+        eng.call_at(100, slot_all)
+        eng.run()
+        assert slotted == [[2, 0, 1]]
+        assert fired == [(110, 2), (110, 0), (110, 1), (110, "event")]
+
+    def test_an_earlier_step_goes_before_slotted_later_ones(self):
+        sim, fired = _recording_cpus(3)
+        eng = sim.engine
+        cpus = sim.machine.cpus
+
+        def slot_all():
+            cpus[0]._schedule_step(20)
+            eng.call_after(15, lambda: fired.append((eng.now_ns, "event")))
+            cpus[1]._schedule_step(10)
+            cpus[2]._schedule_step(20)
+
+        eng.call_at(100, slot_all)
+        eng.run()
+        assert fired == [(110, 1), (115, "event"), (120, 0), (120, 2)]
+
+    def test_slotted_step_past_until_is_queued_after_run(self):
+        sim, fired = _recording_cpus(1)
+        eng = sim.engine
+        cpu = sim.machine.cpus[0]
+        eng.call_at(100, lambda: cpu._schedule_step(50))
+        eng.run(until_ns=120)
+        assert eng.now_ns == 120
+        assert fired == []
+        assert eng.slots == []
+        assert len(eng.queue) == 1
+        assert eng.queue.peek_time() == 150
+        eng.run()
+        assert fired == [(150, 0)]
+
+    def test_max_events_stops_two_cpus_where_the_heap_did(self):
+        """Two CPUs interleaving steps: the guard stops at the event,
+        time and queue the heap-only engine gave."""
+        def spin():
+            while True:
+                yield Charge(usec(1))
+
+        def spin_calls():
+            while True:
+                yield Charge(usec(3))
+                yield from unistd.getpid()
+
+        sim = Simulator(ncpus=2)
+        sim.spawn(spin)
+        sim.spawn(spin_calls)
+        with pytest.raises(SimulationError,
+                           match=r"max_events=1000 exhausted at "
+                                 r"t=979\.0us"):
+            sim.run(max_events=1_000)
+        assert sim.engine.events_fired == 1_000
+        # Both CPUs' steps and both quantum timers are queued.
+        assert len(sim.engine.queue) == 4

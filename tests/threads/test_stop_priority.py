@@ -272,6 +272,45 @@ class TestStopContinue:
         run_program(main, ncpus=2)
         assert log == ["stopping", "continue", "resumed"]
 
+    def test_continue_releases_the_pending_stops_waiter(self):
+        """S's thread_stop of T, running on another LWP, waits for T's
+        next switch point; main's thread_continue(T) cancels the stop
+        and releases S at once, not at T's exit."""
+        got = {}
+
+        def now():
+            ctx = yield GetContext()
+            return ctx.engine.now_ns
+
+        def target(_):
+            for _ in range(20):
+                yield Charge(usec(5_000))
+                yield from threads.thread_yield()
+            got["t_exit"] = yield from now()
+
+        def stopper(tid):
+            got["stop"] = yield from threads.thread_stop(tid)
+            got["stop_returned"] = yield from now()
+
+        def main():
+            yield from threads.thread_setconcurrency(3)
+            t = yield from threads.thread_create(
+                target, None, flags=threads.THREAD_WAIT)
+            s = yield from threads.thread_create(
+                stopper, t, flags=threads.THREAD_WAIT)
+            yield Charge(usec(5_000))   # S waits on T's pending stop
+            yield from threads.thread_continue(t)
+            got["continued"] = yield from now()
+            yield from threads.thread_wait(s)
+            yield from threads.thread_wait(t)
+
+        run_program(main, ncpus=3)
+        assert got["stop"] == 0
+        # S's LWP is unparked by the continue: one dispatch and a
+        # syscall exit later, S runs.
+        assert 0 <= got["stop_returned"] - got["continued"] < usec(500)
+        assert got["t_exit"] - got["stop_returned"] > usec(90_000)
+
     def test_continue_of_running_thread_is_noop(self):
         def main():
             me = yield from threads.thread_get_id()
