@@ -32,7 +32,7 @@ from repro.sync.condvar import CondVar
 from repro.sync.mutex import Mutex
 from repro.sync.rwlock import RwLock
 from repro.sync.semaphore import Semaphore
-from repro.sync.variants import all_sync_variables
+from repro.sync.variants import sync_variables
 from repro.threads.thread import Thread, ThreadState
 
 
@@ -69,7 +69,7 @@ def _resolve_queue(queue: list, lib) -> tuple[str, str, list]:
     Matches by queue identity against the live sync-variable registry,
     then against thread join/stop queues.  Returns (kind, name, holders).
     """
-    for sv in all_sync_variables():
+    for sv in sync_variables():
         if isinstance(sv, Mutex) and sv.waiters is queue:
             holders = [sv.owner] if sv.owner is not None else []
             return ("mutex", sv.name, holders)

@@ -123,6 +123,7 @@ class Simulator:
         def deliver():
             tty.push_input(data)
             self.kernel.wakeup_all(tty.read_channel)
+            tty.mark_readable()
 
         if at_usec is None:
             deliver()

@@ -669,12 +669,11 @@ class OrphanedResourceDetector(Detector):
         self.held = held if held is not None else _HeldLocks()
         self.crashes = 0
         self.reclaims = 0
-        # _seq-ordered record of every lock that went owner-dead this
-        # run (strong refs; bounded by the run's lock population).  The
-        # global sync-variable registry is deliberately not walked at
-        # finalize — it is a process-wide WeakSet that may still hold
-        # variables from an earlier run in the same host process.
-        self._dead_locks: dict = {}   # lock -> None, in arrival order
+        # Every lock that went owner-dead this run, in arrival order
+        # (strong refs; bounded by the run's lock population).  The
+        # process-wide sync-variable registry is not walked at finalize:
+        # it may still hold variables from an earlier run.
+        self._dead_locks: dict = {}   # lock -> None
 
     def on_sync(self, ctx, op, sv, detail) -> None:
         if not self._shared_held:
@@ -700,8 +699,7 @@ class OrphanedResourceDetector(Detector):
                     "acquirer deadlocks on a corpse's lock")
 
     def finalize(self, sim) -> None:
-        for sv in sorted(self._dead_locks,
-                         key=lambda v: getattr(v, "_seq", 0)):
+        for sv in self._dead_locks:
             name = getattr(sv, "name", "?")
             if getattr(sv, "unrecoverable", False):
                 self.report(

@@ -35,9 +35,11 @@ they obey the hot-path rules of ARCHITECTURE §10:
 * ``_step`` has one exit: every inline path sets the step's cost and
   falls through to one booking and one schedule at the end.  The
   schedule is ``_schedule_step``'s common case inline (no step pending;
-  a step runs only inside ``run()``); a step that dispatched its CPU
-  anew, and ``assign`` and the ``_DISPATCH`` handlers, call
-  ``_schedule_step``.
+  a step runs only inside ``run()``); ``assign`` and the ``_DISPATCH``
+  handlers call ``_schedule_step``.  A step that handed its CPU to a
+  new dispatch (its LWP's process died inside it) leaves that
+  dispatch's first step pending; both kernel exits, this one and
+  ``_exit_kernel``, push it back by the step's cost.
 * ``Charge``, ``GetContext`` and ``Syscall``, the most frequent effects,
   are handled inline in ``_step`` (matched by exact type), and so is the
   common kernel-to-user return: a kernel frame, not an injected signal
@@ -419,8 +421,9 @@ class CPU:
                     self._charge_end_ns = engine.now_ns + ns
 
         # The one exit: _schedule_step inline (a step runs only inside
-        # run()), unless the step dispatched this CPU anew and so left a
-        # step pending.
+        # run()).  If the step dispatched this CPU anew, the pending step
+        # (a slot entry, ``(time_ns, seq, cpu)``) is the new dispatch's:
+        # the CPU pays this step's cost first, so push it back by ``ns``.
         if self._pending is None:
             q = self._queue
             seq = q._seq
@@ -429,7 +432,7 @@ class CPU:
             self._pending = entry
             insort(self._slots, entry)
         else:
-            self._schedule_step(ns)
+            self._schedule_step(self._pending[0] + ns - engine.now_ns)
 
     def _context(self, lwp) -> ExecContext:
         """The ExecContext of ``lwp`` on this CPU: the dispatch's shared
@@ -513,7 +516,6 @@ class CPU:
             raise SimulationError(
                 f"{self.name} blocking {lwp!r} but running {self.lwp!r}")
         if self.tracer.want_sched:
-            # WaitChannel and ChannelSet both carry .name.
             self.tracer.emit(self.engine.now_ns, "sched", "block",
                              lwp.name, chan=effect.channel.name)
         self._account(self.costs.kernel_block, kernel=True)
@@ -609,9 +611,14 @@ class CPU:
     def _exit_kernel(self, lwp) -> None:
         """Kernel-to-user return: charge the exit path, let the kernel
         deliver a pending signal, then step again."""
-        self._account(self.costs.syscall_exit, kernel=True)
+        ns = self.costs.syscall_exit
+        self._account(ns, kernel=True)
         self.kernel.kernel_exit_check(self._context(lwp))
-        self._schedule_step(self.costs.syscall_exit)
+        pending = self._pending
+        if pending is not None:
+            # A new dispatch's step, pushed back as at _step's exit.
+            ns += pending[0] - self.engine.now_ns
+        self._schedule_step(ns)
 
     # ------------------------------------------------------------ kernel API
 

@@ -35,7 +35,7 @@ The executor in :mod:`repro.hw.cpu` interprets these.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 
 class Effect:
@@ -195,8 +195,7 @@ class Block(Effect):
     """Kernel mode: sleep the executing LWP on ``channel``.
 
     Args:
-        channel: a :class:`repro.hw.isa.WaitChannel`, or a list of them
-            (turned into a :class:`ChannelSet`).
+        channel: the :class:`repro.hw.isa.WaitChannel` to sleep on.
         interruptible: whether a signal may abort the sleep (the classic
             UNIX interruptible-sleep semantic; the sleep then raises
             ``SyscallError(EINTR)`` unless the syscall restarts).
@@ -214,8 +213,6 @@ class Block(Effect):
     def __init__(self, channel, interruptible: bool = True,
                  indefinite: bool = False,
                  deadline_ns: Optional[int] = None):
-        if isinstance(channel, (list, tuple)):
-            channel = ChannelSet(channel)
         self.channel = channel
         self.interruptible = interruptible
         self.indefinite = indefinite
@@ -231,40 +228,14 @@ class Block(Effect):
 TIMED_OUT = object()
 
 
-class ChannelSet:
-    """A select-style group of wait channels blocked on together.
-
-    Blocking on a ChannelSet sleeps the LWP on *every* member; the first
-    wakeup on any of them resumes the LWP and the kernel purges it from
-    the rest.  Shares the wait-channel ``name`` protocol — ``.name`` is
-    the comma-joined member names — so the CPU's block trace, the
-    wait-for-graph renderer, and hang diagnostics render single channels
-    and groups uniformly, without ad-hoc isinstance checks.
-    """
-
-    __slots__ = ("channels", "name")
-
-    def __init__(self, channels: Iterable["WaitChannel"]):
-        self.channels = tuple(channels)
-        self.name = ",".join(c.name for c in self.channels)
-
-    def __iter__(self):
-        return iter(self.channels)
-
-    def __len__(self) -> int:
-        return len(self.channels)
-
-    def __repr__(self) -> str:
-        return f"<ChannelSet {self.name}>"
-
-
 class WaitChannel:
     """A kernel sleep queue: the thing an LWP blocks on.
 
     Wakeups deliver a value to the sleeping LWP's resumption point.  The
     channel keeps FIFO order, which makes simulations deterministic.
-    ``owner`` is the kernel object the channel belongs to (a socket), for
-    hang reports; None when the name says it all.
+    ``owner`` is the kernel object the channel belongs to (a socket, or
+    the descriptors a select waits on), whose ``wait_annotation()`` hang
+    reports print; None when the name says it all.
     """
 
     __slots__ = ("name", "waiters", "owner")

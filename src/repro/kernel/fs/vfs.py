@@ -25,6 +25,7 @@ class Inode:
     ``ino`` stays 0 until the :class:`Vfs` the inode belongs to numbers
     it (:meth:`Vfs.numbered`), so inode numbers count per kernel and a
     simulation sees the same numbers whatever ran before it.
+    ``watchers`` are readiness callbacks, ``fn(inode)``.
     """
 
     def __init__(self, name: str):
@@ -32,6 +33,7 @@ class Inode:
         self.name = name
         self.nlink = 1
         self.mode = 0o644
+        self.watchers: list = []
 
     @property
     def kind(self) -> str:
@@ -39,6 +41,22 @@ class Inode:
 
     def size(self) -> int:
         return 0
+
+    def readable(self) -> bool:
+        """Would a read return at once (data, EOF or an error)?"""
+        return True
+
+    def mark_readable(self) -> None:
+        """Fire the watchers: this inode may have become readable.
+
+        Called right after the wakeup at every site where that can
+        happen, so a watcher fires when a sleeper on the inode's own
+        channel wakes.  Watchers run synchronously, over a copy of the
+        list so that one may remove itself.
+        """
+        if self.watchers:
+            for fn in list(self.watchers):
+                fn(self)
 
 
 class RegularFile(Inode):
@@ -124,6 +142,9 @@ class TtyDevice(Inode):
     def kind(self) -> str:
         return "tty"
 
+    def readable(self) -> bool:
+        return bool(self.input_buffer)
+
     def push_input(self, data: bytes) -> None:
         """External world typed something (does not wake by itself; the
         kernel's tty syscall path handles wakeups)."""
@@ -157,6 +178,9 @@ class Fifo(Inode):
 
     def size(self) -> int:
         return len(self.buffer)
+
+    def readable(self) -> bool:
+        return bool(self.buffer) or self.writers == 0  # data, or EOF
 
 
 class Vfs:

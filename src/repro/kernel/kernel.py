@@ -232,19 +232,15 @@ class Kernel:
     # ------------------------------------------------------ block / wakeup
 
     def block_lwp(self, lwp: Lwp, block: isa.Block) -> None:
-        """Sleep an LWP as ``block`` says: on one wait channel, or on a
-        ChannelSet (select-style: the first wakeup on any member resumes
-        the LWP; the kernel purges it from the rest).  With a deadline,
-        one timer ends the sleep with :data:`~repro.hw.isa.TIMED_OUT`."""
+        """Sleep an LWP on the one wait channel ``block`` names.  With a
+        deadline, one timer ends the sleep with
+        :data:`~repro.hw.isa.TIMED_OUT`."""
         channel = block.channel
         if channel is self.grave or lwp.exited:
             self._bury(lwp)
             return
-        channels = (channel.channels if isinstance(channel, isa.ChannelSet)
-                    else (channel,))
         lwp.state = LwpState.SLEEPING
-        lwp.channel = channels[0]
-        lwp.wait_channels = channels
+        lwp.channel = channel
         lwp.sleep_interruptible = block.interruptible
         lwp.sleep_indefinite = block.indefinite
         lwp.sleep_since_ns = self.engine.now_ns
@@ -254,19 +250,18 @@ class Kernel:
                 partial(self._unblock, lwp, isa.TIMED_OUT),
                 tag="sleep-deadline")
         self.dispatcher.on_sleep(lwp)
-        for chan in channels:
-            chan.add(lwp)
+        channel.add(lwp)
         if block.indefinite:
             self._maybe_sigwaiting(lwp.process)
 
     def _purge_channels(self, lwp: Lwp) -> None:
         """End a sleep, however it ends (wakeup, deadline, EINTR,
-        SA_RESTART, the LWP's death): take the LWP off every channel it
-        sleeps on and cancel its deadline."""
-        for chan in lwp.wait_channels or ():
+        SA_RESTART, the LWP's death): take the LWP off its channel and
+        cancel its deadline."""
+        chan = lwp.channel
+        if chan is not None:
             chan.remove(lwp)
-        lwp.wait_channels = None
-        lwp.channel = None
+            lwp.channel = None
         lwp.sleep_indefinite = False
         timer = lwp.sleep_timer
         if timer is not None:
@@ -810,6 +805,7 @@ class Kernel:
                 if inode.writers == 0:
                     # Readers must wake to observe EOF.
                     self.wakeup_all(inode.read_channel)
+                    inode.mark_readable()
 
     def reap(self, parent: Process, child: Process) -> tuple[int, int]:
         """Collect a zombie child: returns (pid, status)."""

@@ -115,8 +115,6 @@ class Lwp:
         # Placement / blocking bookkeeping (kernel + dispatcher owned).
         self.cpu = None
         self.channel = None
-        # All channels of a select-style multi-wait (None when single).
-        self.wait_channels: Optional[list] = None
         self.sleep_interruptible = False
         self.sleep_indefinite = False
         # Virtual time the current sleep began (hang diagnostics).

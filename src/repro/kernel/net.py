@@ -29,7 +29,8 @@ Wait channels are named after the socket (``sockaccept:<port>``,
 the wait-for-graph walker (:mod:`repro.analysis.waitgraph`) can name the
 socket, its peer, and the backlog depth
 (:meth:`Socket.wait_annotation`) when diagnosing an LWP stuck in
-``accept``/``recv``.
+``accept``/``recv``.  Every site where a socket may become readable calls
+:meth:`~repro.kernel.fs.vfs.Inode.mark_readable` right after its wakeup.
 """
 
 from __future__ import annotations
@@ -93,13 +94,6 @@ class Socket(Inode):
         self.space_channel: Optional[WaitChannel] = None
         self.rd_closed = False
         self.wr_closed = False
-        # Readiness watchers: callbacks fired (synchronously) whenever
-        # this socket *becomes* readable — data arrival, EOF, reset, a
-        # queued connection on a listener.  This is the batching hook
-        # the all-socket select() fast path and the load generator's
-        # completion callbacks hang off; with no watchers registered
-        # every notification site is a no-op.
-        self.watchers: list = []
 
     @property
     def kind(self) -> str:
@@ -121,18 +115,13 @@ class Socket(Inode):
         return (peer is not None and peer.state is not S_CLOSED
                 and not peer.wr_closed)
 
-    def recv_ready(self) -> bool:
-        """Readiness predicate for poll/select: data, EOF, or error."""
+    def readable(self) -> bool:
+        """Data, EOF, or an error; a pending connection on a listener."""
         if self.state is S_LISTENING:
             return bool(self.backlog)
         if self.state in (S_RESET, S_CLOSED):
             return True
         return bool(self.rbuf) or not self.peer_send_open()
-
-    def recv_wait_channel(self) -> Optional[WaitChannel]:
-        if self.state is S_LISTENING:
-            return self.accept_channel
-        return self.read_channel
 
     # ------------------------------------------------------ diagnostics
 
@@ -176,29 +165,15 @@ class Network:
         return self.kernel.vfs.numbered(
             Socket(f"sock:{pid}.{self._next_sock}", owner_pid=pid))
 
-    # -------------------------------------------------------- readiness
-
-    def mark_readable(self, sock: Socket) -> None:
-        """Notify readiness watchers that ``sock`` may now be readable.
-
-        Called from every kernel site where a socket's readability can
-        newly hold: bytes landing in ``rbuf``, a connection joining a
-        listener's backlog, EOF, reset, listener close.  Watchers run
-        synchronously; anything that must not happen mid-syscall (the
-        load driver's completion handling, say) schedules itself onto
-        the engine instead of acting inline.  No watchers — the common
-        case for every pre-existing workload — costs one truth test.
-        """
-        if sock.watchers:
-            for fn in list(sock.watchers):
-                fn(sock)
+    # -------------------------------------------------------- injection
 
     def push_bytes(self, sock: Socket, data: bytes) -> int:
         """Deliver bytes straight into ``sock.rbuf`` from outside any
         process — the load generator's kernel-edge injection path (a
         synthetic client "sending" without an LWP to charge).  Honors
         the stream bound; returns the count actually buffered.  Wakes
-        blocked receivers and readiness watchers exactly like
+        blocked receivers and readiness watchers
+        (:meth:`~repro.kernel.fs.vfs.Inode.mark_readable`) exactly like
         ``sys_send`` does on the guest path.
         """
         if sock.state is not S_ESTABLISHED or sock.rd_closed:
@@ -210,7 +185,7 @@ class Network:
         sock.rbuf.extend(chunk)
         if sock.read_channel is not None:
             self.kernel.wakeup_all(sock.read_channel)
-        self.mark_readable(sock)
+        sock.mark_readable()
         return len(chunk)
 
     # ------------------------------------------------------ bind/listen
@@ -269,7 +244,7 @@ class Network:
         self._establish(client, server)
         listener.backlog.append(server)
         self.kernel.wakeup_one(listener.accept_channel)
-        self.mark_readable(listener)
+        listener.mark_readable()
 
     def _establish(self, a: Socket, b: Socket) -> None:
         for sock, peer in ((a, b), (b, a)):
@@ -293,7 +268,7 @@ class Network:
             end.state = S_RESET
             end.rbuf.clear()
             self._wake_all(end)
-            self.mark_readable(end)
+            end.mark_readable()
 
     def _wake_all(self, sock: Socket) -> None:
         for chan in (sock.read_channel, sock.space_channel,
@@ -313,7 +288,7 @@ class Network:
             while sock.backlog:
                 self.reset_connection(sock.backlog.popleft())
             self._wake_all(sock)
-            self.mark_readable(sock)
+            sock.mark_readable()
             return
         if sock.state is S_BOUND:
             del self.ports[sock.port]
@@ -327,8 +302,8 @@ class Network:
                 sock.state = S_CLOSED
                 # Peer's pending recv sees EOF; its pending send, EPIPE.
                 self._wake_all(peer)
-                self.mark_readable(peer)
+                peer.mark_readable()
         else:
             sock.state = S_CLOSED
         self._wake_all(sock)
-        self.mark_readable(sock)
+        sock.mark_readable()

@@ -416,8 +416,9 @@ class MlfqPolicy(SchedPolicy):
         return None
 
     def remove(self, lwp) -> bool:
-        if lwp.sched_state is not None:
-            q = self._levels[self._level(lwp)]
+        state = lwp.sched_state  # maybe another class's (table fallback)
+        if state is not None and "level" in state:
+            q = self._levels[state["level"]]
             try:
                 q.remove(lwp)
                 return True

@@ -184,6 +184,7 @@ def sys_write(ctx, fd: int, data: bytes):
             written += len(chunk)
             yield Charge(ctx.costs.io_per_byte * len(chunk))
             kernel.wakeup_all(inode.read_channel)
+            inode.mark_readable()
         return written
 
     if isinstance(inode, NullDevice):

@@ -5,8 +5,6 @@ from __future__ import annotations
 from repro.errors import Errno, SyscallError
 from repro.hw.isa import Block, WaitChannel, charge
 from repro.kernel.fs import procfs
-from repro.kernel.fs.vfs import Fifo, TtyDevice
-from repro.kernel.net import Socket
 from repro.kernel.profil import ProfilingBuffer, ProfilingState
 from repro.kernel.syscalls import syscall
 
@@ -93,82 +91,56 @@ def sys_poll(ctx, fd: int):
     """Wait for input on a descriptor — the paper's example of an
     "indefinite, external event" (SIGWAITING territory)."""
     of = ctx.process.fdtable.get(fd)
-    inode = of.inode
     yield charge(ctx.costs.syscall_service_trivial)
-    if isinstance(inode, TtyDevice):
-        while not inode.input_buffer:
-            yield Block(inode.read_channel, interruptible=True,
-                        indefinite=True)
-        return 1
-    if isinstance(inode, Socket):
-        # Readable = data / EOF / error for connections, a pending
-        # connection for listeners.
-        while not inode.recv_ready():
-            chan = inode.recv_wait_channel()
-            if chan is None:
-                return 1
-            yield Block(chan, interruptible=True, indefinite=True)
-        return 1
-    # Everything else in our VFS is always ready.
+    yield from _wait_readable(ctx, [(fd, of)], None)
     return 1
 
 
-def _readable_now(inode) -> bool:
-    """Readiness predicate for select/poll: ttys with input, FIFOs with
-    data or no writers, sockets per ``recv_ready``; everything else in
-    our VFS is always ready."""
-    if isinstance(inode, TtyDevice):
-        return bool(inode.input_buffer)
-    if isinstance(inode, Fifo):
-        return bool(inode.buffer) or inode.writers == 0
-    if isinstance(inode, Socket):
-        return inode.recv_ready()
-    return True
+class _Readiness:
+    """Owner of a sleeping select's channel: a hang report names every
+    descriptor it waits on."""
+
+    __slots__ = ("opens",)
+
+    def __init__(self, opens):
+        self.opens = opens
+
+    def wait_annotation(self) -> str:
+        return "readable: " + ", ".join(
+            f"fd {fd} {of.inode.kind}:{of.inode.name}"
+            for fd, of in self.opens)
 
 
-def _read_channel_of(inode):
-    if isinstance(inode, TtyDevice):
-        return inode.read_channel
-    if isinstance(inode, Fifo):
-        return inode.read_channel
-    if isinstance(inode, Socket):
-        return inode.recv_wait_channel()
-    return None
+def _wait_readable(ctx, opens, deadline):
+    """Wait until a descriptor of ``opens`` (``(fd, OpenFile)`` pairs) is
+    readable or ``deadline`` passes; returns the ready fds, in the order
+    of ``opens``.
 
-
-def _select_sockets(ctx, opens, deadline):
-    """All-socket select: one ephemeral wait channel fed by readiness
-    watchers, instead of a channel set over every descriptor.
-
-    The generic path below re-scans every descriptor on each wakeup and
-    rebuilds an N-member channel list each time it blocks — O(n) per
-    spurious wakeup, which dominates once a single-LWP event loop
-    watches thousands of connections.  Here each socket that *becomes*
-    readable pushes itself onto ``pending`` via its watcher hook
-    (:meth:`repro.kernel.net.Network.mark_readable`), so a wakeup only
-    touches the sockets that actually changed.  The full fd-order scan
-    runs once on entry and once per successful return, preserving the
-    generic path's result order exactly.  Only a call that sleeps
-    registers anything.
+    The LWP sleeps on one ephemeral wait channel fed by readiness
+    watchers: an inode that *becomes* readable pushes itself onto
+    ``pending`` (:meth:`repro.kernel.fs.vfs.Inode.mark_readable`), so a
+    wakeup touches only the inodes that changed, not every descriptor
+    (a single-LWP event loop watches thousands).  Only a call that
+    sleeps registers anything; one with no descriptors never sleeps.
     """
     kernel = ctx.kernel
-    ready = [fd for fd, of in opens if _readable_now(of.inode)]
-    if ready or (deadline is not None and kernel.engine.now_ns >= deadline):
+    ready = [fd for fd, of in opens if of.inode.readable()]
+    if (ready or not opens
+            or (deadline is not None and kernel.engine.now_ns >= deadline)):
         return ready
-    chan = WaitChannel(f"{ctx.lwp.name}:select")
+    chan = WaitChannel(f"{ctx.lwp.name}:select", _Readiness(opens))
     pending: list = []
 
-    def on_ready(sock):
-        pending.append(sock)
+    def on_ready(inode):
+        pending.append(inode)
         if chan.waiters:
             kernel.wakeup_one(chan)
 
-    socks = [of.inode for _fd, of in opens]
-    for sock in socks:
-        sock.watchers.append(on_ready)
+    for _fd, of in opens:
+        of.inode.watchers.append(on_ready)
     try:
         while not ready:
-            hot = {s for s in pending if s.recv_ready()}
+            hot = {i for i in pending if i.readable()}
             pending.clear()
             if hot:
                 ready = [fd for fd, of in opens if of.inode in hot]
@@ -179,9 +151,9 @@ def _select_sockets(ctx, opens, deadline):
                         deadline_ns=deadline)
         return ready
     finally:
-        for sock in socks:
+        for _fd, of in opens:
             try:
-                sock.watchers.remove(on_ready)
+                of.inode.watchers.remove(on_ready)
             except ValueError:
                 pass
 
@@ -192,35 +164,15 @@ def sys_select(ctx, fds, timeout_ns=None):
 
     With no timeout this is an indefinite, external wait (SIGWAITING
     territory, like the paper's poll() example).  A zero timeout is a
-    pure readiness probe.  When every descriptor is a socket the wait
-    uses the batched watcher path (see :func:`_select_sockets`);
-    otherwise the LWP sleeps on *all* the descriptors' wait channels at
-    once and the first wakeup resumes it.
+    pure readiness probe.  See :func:`_wait_readable`.
     """
     kernel = ctx.kernel
     proc = ctx.process
     yield charge(ctx.costs.syscall_service_trivial)
     opens = [(fd, proc.fdtable.get(fd)) for fd in fds]
-
     deadline = (kernel.engine.now_ns + timeout_ns
                 if timeout_ns is not None else None)
-    if opens and all(isinstance(of.inode, Socket) for _fd, of in opens):
-        return (yield from _select_sockets(ctx, opens, deadline))
-    while True:
-        ready = [fd for fd, of in opens if _readable_now(of.inode)]
-        if ready:
-            return ready
-        if deadline is not None and kernel.engine.now_ns >= deadline:
-            return []
-        channels = []
-        for _fd, of in opens:
-            chan = _read_channel_of(of.inode)
-            if chan is not None and chan not in channels:
-                channels.append(chan)
-        if not channels:
-            return []
-        yield Block(channels, indefinite=deadline is None,
-                    deadline_ns=deadline)
+    return (yield from _wait_readable(ctx, opens, deadline))
 
 
 @syscall("yield")

@@ -194,7 +194,7 @@ def sys_send(ctx, fd: int, data: bytes):
         written += len(chunk)
         yield Charge(ctx.costs.io_per_byte * len(chunk))
         kernel.wakeup_all(peer.read_channel)
-        kernel.net.mark_readable(peer)
+        peer.mark_readable()
     return written
 
 
@@ -244,7 +244,7 @@ def sys_shutdown(ctx, fd: int, how: int = SHUT_WR):
         if sock.peer is not None:
             # The peer's pending recv must wake to observe EOF.
             kernel.wakeup_all(sock.peer.read_channel)
-            kernel.net.mark_readable(sock.peer)
+            sock.peer.mark_readable()
     if how in (SHUT_RD, SHUT_RDWR):
         sock.rd_closed = True
         sock.rbuf.clear()

@@ -8,7 +8,8 @@ backlog (``Network.queue_connection`` — so refusals, resets, and
 backlog bounds behave exactly as they do for guest clients), pushes the
 16-byte request straight into the server-side endpoint
 (``Network.push_bytes``), and then watches the client endpoint through
-the same readiness-watcher hook the batched ``select()`` path uses.
+the readiness-watcher hook every sleeping ``select()`` and ``poll()``
+uses (``Inode.watchers``, fired by ``Inode.mark_readable``).
 The server under test cannot tell the difference: every byte it sees
 arrived through the same socket objects, buffers, and wait channels.
 
@@ -158,7 +159,7 @@ class LoadDriver:
         rec["timer"] = self.engine.call_after(
             self.deadline_ns, partial(self._deadline, i),
             tag="load-deadline")
-        if sock.recv_ready():
+        if sock.readable():
             on_ready(sock)
 
     # ------------------------------------------------------- completion

@@ -21,7 +21,6 @@ Variants provided (or'able where sensible):
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from typing import Optional
 
@@ -63,29 +62,16 @@ class SharedCell:
         return f"<SharedCell {self.mobj.name}+{self.offset}>"
 
 
-#: Weak registry of every live synchronization variable.  Read only by
-#: the hang diagnostics (repro.analysis.waitgraph) to name the primitive
-#: a sleeping thread's wait queue belongs to; weak references keep the
-#: registry from pinning discarded variables.
-_ALL_SYNC_VARIABLES: "weakref.WeakSet[SyncVariable]" = weakref.WeakSet()
+#: Weak registry of every live synchronization variable, for the crash
+#: reclaim walk and the hang diagnostics.  A dict keeps insertion order,
+#: which is creation order, so a walk never depends on host addresses.
+_SYNC_VARIABLES: "weakref.WeakKeyDictionary[SyncVariable, None]" = \
+    weakref.WeakKeyDictionary()
 
 
-#: Creation sequence numbers: WeakSet iteration order is address-based
-#: and so differs between host processes, but a run's *creation order*
-#: is deterministic.  Anything that acts on the registry (the crash
-#: reclaim walk) must sort by ``_seq`` so replays stay bit-identical.
-_SEQ = itertools.count()
-
-
-def all_sync_variables() -> list:
-    """Snapshot of live sync variables (diagnostics; deterministic order
-    is the caller's problem — match by identity, not position)."""
-    return list(_ALL_SYNC_VARIABLES)
-
-
-def sync_variables_in_creation_order() -> list:
-    """Snapshot sorted by creation order (deterministic across replays)."""
-    return sorted(_ALL_SYNC_VARIABLES, key=lambda sv: sv._seq)
+def sync_variables() -> list:
+    """Snapshot of the live sync variables, in creation order."""
+    return list(_SYNC_VARIABLES)
 
 
 #: Acquire operation -> (uncontended, contended) counter stems.
@@ -103,7 +89,6 @@ class SyncVariable:
         self.vtype = vtype
         self.name = name or f"{self.KIND}@{id(self):x}"
         self.cell = cell
-        self._seq = next(_SEQ)
         # Per-variable metric names (see _metric_key) and the start of
         # the current hold, both used only while metrics are attached.
         self._metric_keys: dict[str, str] = {}
@@ -113,7 +98,7 @@ class SyncVariable:
             # skip it: futex-style state words are accessed racily by
             # design, unlike the program data the variable protects.
             cell.mobj.sync_offsets.add(cell.offset)
-        _ALL_SYNC_VARIABLES.add(self)
+        _SYNC_VARIABLES[self] = None
         # Check the raw flag, not the is_shared property: subclasses that
         # compose shared primitives (RwLock) override the property.
         flag_shared = bool(vtype & THREAD_SYNC_SHARED)

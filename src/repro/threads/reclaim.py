@@ -35,7 +35,7 @@ lock was left behind.
 from __future__ import annotations
 
 from repro.sync.events import sync_notify
-from repro.sync.variants import sync_variables_in_creation_order
+from repro.sync.variants import sync_variables
 from repro.threads.thread import Thread, ThreadState
 
 #: waitpid-visible status of a process whose last LWP/thread crashed
@@ -91,7 +91,7 @@ def reclaim_crashed_thread(kernel, lib, thread, lwp=None) -> dict:
     # (3) Held-resource walk, creation order for replay determinism.
     owner_dead = 0
     handoffs = 0
-    for sv in sync_variables_in_creation_order():
+    for sv in sync_variables():
         kind = getattr(sv, "KIND", None)
         if kind == "mutex" and not sv.is_shared and sv.owner is thread:
             nxt = sv.reclaim_dead_owner(lib)

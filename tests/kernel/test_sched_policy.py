@@ -253,6 +253,10 @@ class TestSchedClassTableCounts:
                   ("remove", 0), ("insert", 1, True),
                   ("class", 1, SchedClass.REALTIME),
                   ("pick", 0, frozenset())])
+    # A remove of an LWP no policy holds asks MLFQ too, which must not
+    # read another class's state blob as its own.
+    @example(ops=[("class", 0, SchedClass.CFS), ("insert", 0, False),
+                  ("remove", 0), ("remove", 0)])
     def test_counts_match_the_policies_after_every_step(self, ops):
         table = SchedClassTable.default()
         lwps = [Lwp(i + 1, FakeProc(1 + i % 2), None) for i in range(6)]

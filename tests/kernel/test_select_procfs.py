@@ -1,9 +1,10 @@
-"""Tests for select() multi-descriptor waiting and /proc as real files."""
+"""Tests for select() multi-descriptor waiting, poll(), and /proc as
+real files."""
 
 import pytest
 
 from repro.api import Simulator
-from repro.errors import Errno, SyscallError
+from repro.errors import DeadlockError, Errno, SyscallError
 from repro.kernel.fs.file import O_NONBLOCK, O_RDONLY, O_WRONLY
 from repro.runtime import unistd
 from repro import threads
@@ -136,6 +137,118 @@ class TestSelect:
         sim.type_input(b"x", at_usec=500_000)
         sim.run(check_deadlock=False)
         assert got["done"] < 100_000_000  # freed long before the input
+
+
+    @pytest.mark.parametrize("timeout_ns", [None, 3_000_000])
+    def test_no_descriptors_returns_at_once(self, timeout_ns):
+        """Nothing can wake a wait on no descriptors: it never sleeps."""
+        got = []
+
+        def main():
+            t0 = yield from unistd.gettimeofday()
+            r = yield from unistd.select([], timeout_ns=timeout_ns)
+            t1 = yield from unistd.gettimeofday()
+            got.append((r, t1 - t0))
+
+        run_program(main)
+        [(ready, elapsed)] = got
+        assert ready == []
+        assert elapsed < 1_000_000
+
+    def test_poll_on_an_empty_pipe_waits_for_the_writer(self):
+        """An empty pipe with a writer is not readable: poll sleeps until
+        the bound writer's data lands 5 ms in."""
+        got = {}
+
+        def writer(wfd):
+            yield from unistd.sleep_usec(5_000)
+            yield from unistd.write(wfd, b"x")
+
+        def main():
+            rfd, wfd = yield from unistd.pipe()
+            yield from threads.thread_create(
+                writer, wfd, flags=threads.THREAD_BIND_LWP)
+            got["poll"] = yield from unistd.poll(rfd)
+            got["t"] = yield from unistd.gettimeofday()
+            got["data"] = yield from unistd.read(rfd, 1)
+
+        run_program(main)
+        assert got["poll"] == 1
+        assert got["t"] >= 5_000_000
+        assert got["data"] == b"x"
+
+    def test_one_select_wakes_on_each_kind_in_turn(self):
+        """A tty, a pipe and a listening socket in one select: tty input
+        at 5 ms, then pipe data, then a connection from a bound thread,
+        each consumed before the next select."""
+        got = []
+        sent = []
+
+        def poker(wfd):
+            yield from unistd.sleep_usec(10_000)
+            sent.append((yield from unistd.gettimeofday()))
+            yield from unistd.write(wfd, b"p")
+            yield from unistd.sleep_usec(5_000)
+            cfd = yield from unistd.socket()
+            sent.append((yield from unistd.gettimeofday()))
+            yield from unistd.connect(cfd, 6401)
+
+        def main():
+            tty = yield from unistd.open("/dev/tty", O_RDONLY)
+            rfd, wfd = yield from unistd.pipe()
+            lfd = yield from unistd.socket()
+            yield from unistd.bind(lfd, 6401)
+            yield from unistd.listen(lfd, 4)
+            yield from threads.thread_create(
+                poker, wfd, flags=threads.THREAD_BIND_LWP)
+            for consume in ((unistd.read, tty, 1), (unistd.read, rfd, 1),
+                            (unistd.accept, lfd)):
+                r = yield from unistd.select([tty, rfd, lfd])
+                t = yield from unistd.gettimeofday()
+                got.append((r, t))
+                call, *args = consume
+                yield from call(*args)
+
+        sim = Simulator()
+        sim.spawn(main)
+        sim.type_input(b"t", at_usec=5_000)
+        sim.run()
+        assert [r for r, _t in got] == [[0], [1], [3]]
+        # Each wake follows its event within a millisecond.
+        for (_r, woke), at in zip(got, [5_000_000] + sent):
+            assert at <= woke < at + 1_000_000
+
+    def test_last_writer_closing_makes_the_pipe_ready(self):
+        """EOF is readable: the select returns the pipe when its last
+        writer closes, and the read finds EOF."""
+        got = []
+
+        def closer(wfd):
+            yield from unistd.sleep_usec(5_000)
+            yield from unistd.close(wfd)
+
+        def main():
+            rfd, wfd = yield from unistd.pipe()
+            yield from threads.thread_create(
+                closer, wfd, flags=threads.THREAD_BIND_LWP)
+            r = yield from unistd.select([rfd])
+            t = yield from unistd.gettimeofday()
+            data = yield from unistd.read(rfd, 1)
+            got.append((r == [rfd], t >= 5_000_000, data))
+
+        run_program(main)
+        assert got == [(True, True, b"")]
+
+    def test_a_hang_names_every_descriptor_the_select_waits_on(self):
+        def main():
+            tty = yield from unistd.open("/dev/tty", O_RDONLY)
+            rfd, _wfd = yield from unistd.pipe()
+            yield from unistd.select([tty, rfd])
+
+        with pytest.raises(DeadlockError) as err:
+            run_program(main)
+        assert ("lwp-1.1:select [readable: fd 0 tty:tty, fd 1 fifo:pipe:1]"
+                in str(err.value))
 
 
 class TestProcFiles:

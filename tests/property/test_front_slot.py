@@ -372,29 +372,43 @@ def _kill_self_at_syscall_exit():
     yield Charge(usec(10))
 
 
-def _bystander():
-    yield Charge(usec(30))
+def _hand_over(route):
+    """Run the victim and a bystander process on one CPU; returns the
+    bystander's first step as (clock, CPU busy time), and the run."""
+    first_step = []
+
+    def bystander():
+        first_step.append((sim.engine.now_ns, sim.machine.cpus[0].busy_ns))
+        yield Charge(usec(30))
+
+    sink = DigestSink()
+    with pytest.MonkeyPatch.context() as mp:
+        if route is not None:
+            route(mp)
+        sim = Simulator(ncpus=1, trace=True, trace_sink=sink,
+                        trace_store=False)
+        victim = sim.spawn(_kill_self_at_syscall_exit)
+        sim.spawn(bystander)
+        sim.run()
+    assert victim.exit_status == 128 + int(Sig.SIGTERM)
+    return first_step, sim.engine.events_fired, sim.engine.now_ns, sink
 
 
 def test_a_step_that_hands_its_cpu_over_keeps_the_heap_order():
     """A default SIGTERM delivered at the kill's syscall exit ends the
     process inside the stepping CPU's own step, and another process's
-    LWP is dispatched onto that CPU before the step's exit.  The exit
-    then reschedules through ``_schedule_step``, replacing the new
-    dispatch's step.  Events, clock and digest are pinned to what the
-    tree before per-CPU slots gave, defect included: the new LWP's
-    first step comes after the old step's 15 us syscall exit, not its
-    own 80 us dispatch, while the CPU books both (845 us busy in a
-    735 us run)."""
-    sink = DigestSink()
-    sim = Simulator(ncpus=1, trace=True, trace_sink=sink, trace_store=False)
-    victim = sim.spawn(_kill_self_at_syscall_exit)
-    sim.spawn(_bystander)
-    sim.run()
-    assert victim.exit_status == 128 + int(Sig.SIGTERM)
-    assert (sim.engine.events_fired, sim.engine.now_ns) == (17, usec(735))
-    assert sink.hexdigest() == ("6307a3456a7e98e8508d3f605ae5e711"
-                                "d52cfd6db0fac11e5b87a62512b0c094")
+    LWP is dispatched onto that CPU (at 175 us, 80 us of dispatch
+    booked) before the step's exit.  The exit, inline in ``CPU._step``
+    or through ``_frame_returned`` and ``_exit_kernel`` on the generic
+    route, pushes the new dispatch's first step back by its own 15 us
+    syscall exit: the bystander first runs at 270 us, when the CPU has
+    booked exactly the clock."""
+    for route in (None, _generic_route):
+        first_step, fired, now, sink = _hand_over(route)
+        assert first_step == [(usec(270), usec(270))]
+        assert (fired, now) == (17, usec(815))
+        assert sink.hexdigest() == ("4cdb2adefe31d278c628348b71e7675a"
+                                    "c0011ff6574fd0243461fa1bbb8b4f5b")
 
 
 def _park_then_release(queued_only):

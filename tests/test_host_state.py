@@ -1,12 +1,17 @@
-"""No host addresses in a run: the ``id()`` half of the hermeticity rule.
+"""No host state in a run: the static half of the hermeticity rule.
 
 ``id()`` is a host address.  A table keyed by it hands a dead object's
 entry to whatever the host allocates at that address next, and a report
 that prints it differs from one interpreter run to the next.  Key by the
-object, or name the thing, instead.  The scan covers ``src/repro``
-except ``lint/``, which keys its own AST nodes while they are alive and
-never runs inside a simulation.  Each allowed file says why its uses
+object, or name the thing, instead.  Each allowed file says why its uses
 cannot reach a result.
+
+A module- or class-level ``itertools.count()`` outlives a simulation:
+every run in the host process draws from it, so what a run sees depends
+on what ran before.  Count per kernel, or keep creation order in a dict.
+
+Both scans cover ``src/repro`` except ``lint/``, which keys its own AST
+nodes while they are alive and never runs inside a simulation.
 """
 
 import ast
@@ -30,13 +35,35 @@ def _id_calls(path: pathlib.Path) -> list[int]:
             and isinstance(node.func, ast.Name) and node.func.id == "id"]
 
 
+def _process_counters(path: pathlib.Path) -> list[int]:
+    """Lines of ``itertools.count()`` calls outside every function body,
+    where they run once per host process."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {"itertools.count"} | {
+        a.asname or a.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+        for a in node.names if a.name == "count"}
+    found = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if (isinstance(node, ast.Call)
+                and ast.unparse(node.func) in names):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
 @functools.cache
-def _scanned() -> dict[str, list[int]]:
+def _scanned(scan=_id_calls) -> dict[str, list[int]]:
     calls = {}
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         if not rel.startswith("lint/"):
-            calls[rel] = _id_calls(path)
+            calls[rel] = scan(path)
     return calls
 
 
@@ -49,3 +76,10 @@ def test_no_id_calls_outside_the_allow_list():
 def test_every_allowed_file_still_needs_its_entry():
     calls = _scanned()
     assert [rel for rel in ALLOWED if not calls.get(rel)] == []
+
+
+def test_no_counter_outlives_a_simulation():
+    found = [f"{rel}:{line}"
+             for rel, lines in _scanned(_process_counters).items()
+             for line in lines]
+    assert found == []

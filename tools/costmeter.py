@@ -21,14 +21,11 @@ The cost is the bytecodes executed plus 45 x the Python frame entries,
 generator resumes included, counted with ``sys.monitoring``
 (``INSTRUCTION``, ``PY_START``, ``PY_RESUME``).  It differs between
 Python minor versions, so compare costs from one interpreter version
-only.  On the bakeoff workloads it repeats exactly from run to run and
-under any ``PYTHONHASHSEED``.  On ``explore_sweep`` the ``rest`` layer
-moves by a few bytecodes per run between processes: a hang report
-(``repro.analysis.waitgraph``) walks the process-wide set of live sync
-variables, whose order follows object addresses, until it finds the
-queue's owner.  Each code object's cost goes to the layer of its module
-in hostbench's ``MODULE_LAYER``; code outside ``src/repro`` counts as
-``other``.
+only.  It repeats exactly from run to run and under any
+``PYTHONHASHSEED`` (CI's ``perf-smoke`` job checks this on
+``explore_sweep``).  Each code object's cost goes to the layer of its
+module in hostbench's ``MODULE_LAYER``; code outside ``src/repro``
+counts as ``other``.
 
 It prints the cost per unit in all and per layer, then one JSON object
 on the last line.  On Python older than 3.12 it exits 2.
