@@ -38,22 +38,24 @@ they obey the hot-path rules of ARCHITECTURE §10:
   a step runs only inside ``run()``); ``assign`` and the ``_DISPATCH``
   handlers call ``_schedule_step``.  A step that handed its CPU to a
   new dispatch (its LWP's process died inside it) leaves that
-  dispatch's first step pending; both kernel exits, this one and
-  ``_exit_kernel``, push it back by the step's cost.
-* ``Charge``, ``GetContext`` and ``Syscall``, the most frequent effects,
-  are handled inline in ``_step`` (matched by exact type), and so is the
-  common kernel-to-user return: a kernel frame, not an injected signal
-  handler, returning to the user frame below it.  A trap makes one
-  kernel call (``Kernel.trap``) and a return one
-  (``Kernel.kernel_exit_check``).  The LWP's time is booked inline too;
-  its interval timers, profiling and RLIMIT_CPU are checked
-  (``Lwp.meter``) only while one is armed (``Lwp.metered``).
+  dispatch's first step pending, and the exit pushes it back by the
+  step's cost.
+* One trap and one kernel exit, both inline in ``_step``.  ``Charge``,
+  ``GetContext`` and ``Syscall``, the most frequent effects, are matched
+  by exact type; an exact ``Syscall`` is the only trap, and it makes one
+  kernel call (``Kernel.trap``).  A kernel frame (a system call or a
+  page fault) that returns, or raises, to the user frame below it
+  leaves through the one kernel exit, which books ``syscall_exit`` to
+  the step's LWP and makes one kernel call (``Kernel.kernel_exit_check``).
+  ``_frame_returned`` and ``_frame_raised`` take every other frame: a
+  signal handler's, a nested one, the bottom one.  The LWP's time is
+  booked inline too; its interval timers, profiling and RLIMIT_CPU are
+  checked (``Lwp.meter``) only while one is armed (``Lwp.metered``).
   The other effects dispatch through a *type-keyed table*
   (``_DISPATCH``), one dict lookup on ``type(effect)`` instead of an
-  isinstance chain; their subclasses resolve through the MRO once and
-  are cached.  ``_enter_kernel`` and ``_frame_returned`` are the generic
-  trap and return, for subclasses, signal-handler frames and bottom
-  frames; the inline paths do exactly what they do.
+  isinstance chain; a type the table lacks, even a subclass of an
+  effect, is an unknown effect.  ``tests/property/reference.py`` holds
+  a plainly written ``ReferenceCPU`` the inline paths must equal.
 * Each dispatch builds one :class:`ExecContext`, shared by every
   GetContext, kernel entry and kernel exit until the LWP leaves the CPU.
 * Trace emission is gated on the tracer's per-category flags before any
@@ -321,42 +323,58 @@ class CPU:
                     activity.resume_value = None
                     effect = frame.gen.send(value)
                 cls = effect.__class__
-            except StopIteration as stop:
-                if (frame.mode is _KERNEL and frame.saved_resume is None
-                        and len(frames) > 1 and frames[-2].mode is _USER):
-                    # Kernel-to-user return (a syscall or fault handler
-                    # finished): _frame_returned's common case, inline.
-                    # The exit is booked before the kernel's signal check.
-                    frames.pop()
-                    value = stop.value
+            except _FRAME_EXITS as exc:
+                if (frame.mode is not _KERNEL or len(frames) < 2
+                        or frames[-2].mode is not _USER):
+                    # A signal handler's frame, a nested one or the
+                    # bottom one.
+                    if exc.__class__ is StopIteration:
+                        self._frame_returned(lwp, activity, exc.value)
+                    else:
+                        self._frame_raised(lwp, activity, exc)
+                    return
+                # The one kernel exit: a kernel frame (a syscall or a
+                # fault handler) returns, or raises, to the user frame
+                # below it.  The exit is booked to the step's LWP, which
+                # a kill inside the step may have taken off this CPU,
+                # before the kernel's signal check.
+                frames.pop()
+                m = engine.metrics
+                if exc.__class__ is StopIteration:
+                    value = exc.value
                     activity.resume_value = value
                     activity.resume_exc = None
                     if self.tracer.want_syscall:
                         self.tracer.emit(
                             engine.now_ns, "syscall", "exit", lwp.name,
                             call=frame.label, ret=_brief(value))
-                    m = engine.metrics
                     if m is not None and frame.enter_ns is not None:
                         m.observe(_LATENCY_KEYS[frame.label],
                                   engine.now_ns - frame.enter_ns)
-                    ns = self.costs.syscall_exit
-                    self.kernel_ns += ns
-                    booked = self.lwp
-                    if booked is not None:
-                        booked.system_ns += ns
-                        if booked.metered:
-                            booked.meter(ns, True)
-                    ctx = self.ctx
-                    if ctx is None or ctx.lwp is not lwp:
-                        ctx = ExecContext(self, lwp)
-                    self.kernel.kernel_exit_check(ctx)
-                    cls = kernel = None
                 else:
-                    self._frame_returned(lwp, activity, stop.value)
-                    return
-            except (SyscallError, InterruptedSleep) as exc:
-                self._frame_raised(lwp, activity, exc)
-                return
+                    if isinstance(exc, InterruptedSleep):
+                        exc = SyscallError(Errno.EINTR, frame.label,
+                                           "interrupted")
+                    activity.resume_exc = exc
+                    if self.tracer.want_syscall:
+                        self.tracer.emit(
+                            engine.now_ns, "syscall", "error", lwp.name,
+                            call=frame.label, err=str(exc))
+                    if m is not None:
+                        if frame.enter_ns is not None:
+                            m.observe(_LATENCY_KEYS[frame.label],
+                                      engine.now_ns - frame.enter_ns)
+                        m.count(_ERRNO_KEYS[frame.label, exc.errno])
+                ns = self.costs.syscall_exit
+                self.kernel_ns += ns
+                lwp.system_ns += ns
+                if lwp.metered:
+                    lwp.meter(ns, True)
+                ctx = self.ctx
+                if ctx is None or ctx.lwp is not lwp:
+                    ctx = ExecContext(self, lwp)
+                self.kernel.kernel_exit_check(ctx)
+                cls = kernel = None
             finally:
                 self._stepping_activity = None
                 engine.stepping_cpu = None
@@ -365,7 +383,7 @@ class CPU:
                 ns = effect.ns
                 kernel = frames[-1].mode is _KERNEL
             elif cls is _Syscall:
-                # Trap: _enter_kernel, inline.
+                # The one trap.
                 name = effect.name
                 if self.tracer.want_syscall:
                     self.tracer.emit(engine.now_ns, "syscall", "enter",
@@ -392,9 +410,11 @@ class CPU:
                 activity.resume_exc = None
                 kernel = None
             elif cls is not None:
-                handler = _DISPATCH.get(cls)
-                if handler is None:
-                    handler = _resolve_effect_handler(effect)
+                try:
+                    handler = _DISPATCH[cls]
+                except KeyError:
+                    raise SimulationError(
+                        f"unknown effect: {effect!r}") from None
                 handler(self, lwp, activity, effect)
                 return
 
@@ -457,22 +477,6 @@ class CPU:
         self._account(ns, kernel=kernel)
         self._schedule_step(ns)
 
-    def _enter_kernel(self, lwp, activity: Activity,
-                      effect: "isa.Syscall") -> None:
-        """Trap: charge entry cost and push the handler frame."""
-        name = effect.name
-        if self.tracer.want_syscall:
-            self.tracer.emit(self.engine.now_ns, "syscall", "enter",
-                             lwp.name, call=name)
-        handler = self.kernel.trap(
-            self._context(lwp), name, effect.args, effect.kwargs)
-        activity.push(handler, Mode.KERNEL, label=_SYS_LABELS[name])
-        if self.engine.metrics is not None:
-            activity.top.enter_ns = self.engine.now_ns
-        activity.set_resume(None)
-        self._account(self.costs.syscall_entry, kernel=True)
-        self._schedule_step(self.costs.syscall_entry)
-
     def _switch_thread(self, lwp, activity: Activity,
                        effect: "isa.SwitchTo") -> None:
         """User-level context switch: no kernel involvement."""
@@ -526,6 +530,8 @@ class CPU:
     # ------------------------------------------------------- frame returns
 
     def _frame_returned(self, lwp, activity: Activity, value: Any) -> None:
+        """The top frame returned, and it is not a kernel frame over a
+        user one (``_step``'s kernel exit takes those)."""
         frame = activity.pop()
         if activity.frames:
             if frame.saved_resume is not None:
@@ -540,21 +546,7 @@ class CPU:
                 self._schedule_step(self.costs.signal_return)
                 return
             activity.set_resume(value)
-            below = activity.top
-            if frame.mode is Mode.KERNEL and below.mode is Mode.USER:
-                # Returning from a system call (or fault): charge the exit
-                # path and let the kernel deliver any pending signals.
-                if self.tracer.want_syscall:
-                    self.tracer.emit(
-                        self.engine.now_ns, "syscall", "exit", lwp.name,
-                        call=frame.label, ret=_brief(value))
-                m = self.engine.metrics
-                if m is not None and frame.enter_ns is not None:
-                    m.observe(_LATENCY_KEYS[frame.label],
-                              self.engine.now_ns - frame.enter_ns)
-                self._exit_kernel(lwp)
-            else:
-                self._schedule_step(0)
+            self._schedule_step(0)
             return
 
         # Bottom frame returned: the activity's body is done.
@@ -573,33 +565,17 @@ class CPU:
 
     def _frame_raised(self, lwp, activity: Activity,
                       exc: BaseException) -> None:
-        """An exception propagated out of the top frame."""
+        """An exception propagated out of the top frame, and it is not a
+        kernel frame over a user one (``_step``'s kernel exit takes
+        those)."""
         frame = activity.pop()
         if isinstance(exc, InterruptedSleep):
-            # Only meaningful across the kernel/user boundary.
             exc = SyscallError(Errno.EINTR, frame.label, "interrupted")
         if activity.frames:
-            if frame.saved_resume is not None:
-                # Injected frame died; still re-apply what it displaced?
-                # No: the handler's failure takes precedence.
-                pass
+            # An injected frame's failure takes precedence over the
+            # resumption it displaced.
             activity.set_resume_exc(exc)
-            below = activity.top
-            if frame.mode is Mode.KERNEL and below.mode is Mode.USER:
-                if self.tracer.want_syscall:
-                    self.tracer.emit(
-                        self.engine.now_ns, "syscall", "error", lwp.name,
-                        call=frame.label, err=str(exc))
-                m = self.engine.metrics
-                if m is not None:
-                    if frame.enter_ns is not None:
-                        m.observe(_LATENCY_KEYS[frame.label],
-                                  self.engine.now_ns - frame.enter_ns)
-                    if isinstance(exc, SyscallError):
-                        m.count(_ERRNO_KEYS[frame.label, exc.errno])
-                self._exit_kernel(lwp)
-            else:
-                self._schedule_step(0)
+            self._schedule_step(0)
             return
         # Uncaught at the bottom of an activity: the simulated program
         # failed.  Let the kernel decide (it kills the process).
@@ -607,18 +583,6 @@ class CPU:
         self.release()
         self.kernel.on_activity_crashed(lwp, activity, exc)
         self.kernel.dispatcher.cpu_idle(self)
-
-    def _exit_kernel(self, lwp) -> None:
-        """Kernel-to-user return: charge the exit path, let the kernel
-        deliver a pending signal, then step again."""
-        ns = self.costs.syscall_exit
-        self._account(ns, kernel=True)
-        self.kernel.kernel_exit_check(self._context(lwp))
-        pending = self._pending
-        if pending is not None:
-            # A new dispatch's step, pushed back as at _step's exit.
-            ns += pending[0] - self.engine.now_ns
-        self._schedule_step(ns)
 
     # ------------------------------------------------------------ kernel API
 
@@ -652,30 +616,20 @@ class CPU:
 _Charge = isa.Charge
 _GetContext = isa.GetContext
 _Syscall = isa.Syscall
+#: What ends a frame: a return, or an error it raises.
+_FRAME_EXITS = (StopIteration, SyscallError, InterruptedSleep)
 
 #: The type-keyed effect dispatch table: effect class -> unbound CPU
-#: method.  Shared by all CPUs; exact-type hits are one dict lookup.
-#: _step handles exact Charge, GetContext and Syscall inline; the
-#: Syscall entry serves its subclasses.
+#: method.  Shared by all CPUs; a hit is one dict lookup on the exact
+#: type.  _step handles Charge, GetContext and Syscall inline; any type
+#: not here, a subclass of an effect included, is an unknown effect.
 _DISPATCH = {
-    isa.Syscall: CPU._enter_kernel,
     isa.SwitchTo: CPU._switch_thread,
     isa.Setjmp: CPU._do_setjmp,
     isa.Longjmp: CPU._do_longjmp,
     isa.Touch: CPU._touch,
     isa.Block: CPU._block,
 }
-
-
-def _resolve_effect_handler(effect):
-    """Slow path: resolve an effect subclass through its MRO and cache
-    the result so subsequent yields of that type are table hits."""
-    for klass in type(effect).__mro__[1:]:
-        handler = _DISPATCH.get(klass)
-        if handler is not None:
-            _DISPATCH[type(effect)] = handler
-            return handler
-    raise SimulationError(f"unknown effect: {effect!r}")
 
 
 def _brief(value: Any) -> str:

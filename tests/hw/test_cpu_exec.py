@@ -125,6 +125,29 @@ class TestBlockEffectRules:
             run_program(main)
 
 
+class TestUnknownEffect:
+    """An effect type missing from the CPU's dispatch table is an error,
+    and so is a subclass of an effect: none is resolved to its base."""
+
+    def test_a_non_effect_is_unknown(self):
+        def main():
+            yield 42
+
+        with pytest.raises(SimulationError, match="unknown effect: 42"):
+            run_program(main)
+
+    def test_a_syscall_subclass_is_unknown(self):
+        class Getpid(Syscall):
+            __slots__ = ()
+
+        def main():
+            yield Getpid("getpid")
+
+        with pytest.raises(SimulationError, match="unknown effect: "
+                                                  r"Syscall\(getpid"):
+            run_program(main)
+
+
 class TestMultiCpu:
     def test_two_processes_run_in_parallel(self):
         """On 2 CPUs, two compute-bound processes overlap, halving

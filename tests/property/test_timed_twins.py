@@ -6,9 +6,10 @@ addition is a deadline, which a private-variant block turns into one
 timer armed before the sleep and cancelled after it.  A cancelled timer
 never fires, so:
 
-* a generated program that finishes untimed gives the same trace digest,
-  ``events_fired`` and final clock when every blocking call is swapped
-  for its timed twin with a timeout past the end of the run;
+* a generated program (``tests/property/programs.py``) that finishes
+  untimed gives the same trace digest, ``events_fired``, final clock
+  and booked CPU time when every blocking sync call is swapped for its
+  timed twin with a timeout past the end of the run;
 * a reachable timeout never returns before its deadline.
 """
 
@@ -17,148 +18,29 @@ from hypothesis import strategies as st
 
 from repro import threads
 from repro.api import Simulator
-from repro.errors import DeadlockError
-from repro.hw.isa import Charge, GetContext
-from repro.runtime import unistd
+from repro.hw.isa import GetContext
 from repro.sim.clock import usec
-from repro.sim.trace import DigestSink
 from repro.sync import CondVar, Mutex, Semaphore
+from tests.property.programs import FLAGS, PROGRAMS, run
 
 SIM_SETTINGS = settings(
     max_examples=40, deadline=None,
     suppress_health_check=[HealthCheck.too_slow,
                            HealthCheck.filter_too_much])
 
-OPS = st.one_of(
-    st.tuples(st.just("charge"), st.integers(0, 40)),
-    st.tuples(st.just("sleep"), st.integers(1, 30)),
-    st.tuples(st.just("locked"), st.integers(0, 300)),
-    st.tuples(st.just("sema"), st.integers(0, 300)),
-    st.tuples(st.just("await"), st.integers(1, 3)),
-    st.just(("tick",)),
-)
-
-#: One op list for the main thread, then one per created thread.
-PROGRAMS = st.lists(st.lists(OPS, max_size=6), min_size=1, max_size=4)
-
-
-class _Shared:
-    """The program's sync variables, and how to block on them."""
-
-    def __init__(self, units, ticks_due, timeout_usec):
-        self.m = Mutex(name="m")
-        self.s = Semaphore(units, name="s")
-        self.cv = CondVar(name="cv")
-        self.gate = Semaphore(0, name="gate")
-        self.arrived = self.ticks = 0
-        self.ticks_due = ticks_due       # an await waits for at most these
-        self.timeout = timeout_usec
-
-    def enter(self):
-        if self.timeout is None:
-            return self.m.enter()
-        return self.m.timedenter(self.timeout)
-
-    def p(self, sema):
-        if self.timeout is None:
-            return sema.p()
-        return sema.timedp(self.timeout)
-
-    def wait(self):
-        if self.timeout is None:
-            return self.cv.wait(self.m)
-        return self.cv.timedwait(self.m, self.timeout)
-
-
-def _hold(n):
-    """Hold for ``n`` us: CPU time when even, a sleep when odd."""
-    if n % 2:
-        yield from unistd.sleep_usec(n)
-    else:
-        yield Charge(usec(n))
-
-
-def _worker(arg):
-    ops, sh = arg
-    sh.arrived += 1
-    assert (yield from sh.p(sh.gate)) in (None, True)
-    yield from _body(ops, sh)
-
-
-def _body(ops, sh):
-    for op in ops:
-        kind = op[0]
-        if kind == "charge":
-            yield Charge(usec(op[1]))
-        elif kind == "sleep":
-            yield from unistd.sleep_usec(op[1])
-        elif kind == "locked":
-            assert (yield from sh.enter()) in (None, True)
-            yield from _hold(op[1])
-            yield from sh.m.exit()
-        elif kind == "sema":
-            assert (yield from sh.p(sh.s)) in (None, True)
-            yield from _hold(op[1])
-            yield from sh.s.v()
-        elif kind == "await":
-            yield from sh.enter()
-            while sh.ticks < min(op[1], sh.ticks_due):
-                assert (yield from sh.wait()) in (None, True)
-            yield from sh.m.exit()
-        else:
-            yield from sh.enter()
-            sh.ticks += 1
-            yield from sh.cv.broadcast()
-            yield from sh.m.exit()
-
-
-def _guest(program, bound, units, timeout_usec):
-    main_ops, *workers = program
-
-    ticks_due = sum(op == ("tick",) for ops in program for op in ops)
-
-    def main():
-        sh = _Shared(units, ticks_due, timeout_usec)
-        # Unbound workers each add an LWP, so they too can overlap.
-        flags = threads.THREAD_WAIT | (
-            threads.THREAD_BIND_LWP if bound else threads.THREAD_NEW_LWP)
-        tids = []
-        for ops in workers:
-            tid = yield from threads.thread_create(
-                _worker, (ops, sh), flags=flags)
-            tids.append(tid)
-        while sh.arrived < len(workers):
-            yield from unistd.sleep_usec(500)
-        for _ in workers:                # start them all at once
-            yield from sh.gate.v()
-        yield from _body(main_ops, sh)
-        for tid in tids:
-            yield from threads.thread_wait(tid)
-    return main
-
-
-def _run(program, ncpus, bound, units, seed, timeout_usec=None):
-    sink = DigestSink()
-    sim = Simulator(ncpus=ncpus, seed=seed, trace=True, trace_sink=sink,
-                    trace_store=False)
-    sim.spawn(_guest(program, bound, units, timeout_usec))
-    sim.run(max_events=200_000)
-    return sink.hexdigest(), sim.engine.events_fired, sim.engine.now_ns
-
 
 class TestUnreachableTimeoutIsTheUntimedCall:
     @SIM_SETTINGS
-    @given(program=PROGRAMS, ncpus=st.integers(1, 2), bound=st.booleans(),
+    @given(program=PROGRAMS, ncpus=st.integers(1, 2), flags=FLAGS,
            units=st.integers(1, 2), seed=st.integers(0, 999))
-    def test_digest_events_and_clock_match(self, program, ncpus, bound,
+    def test_digest_events_and_clock_match(self, program, ncpus, flags,
                                            units, seed):
-        try:
-            untimed = _run(program, ncpus, bound, units, seed)
-        except DeadlockError:
-            assume(False)        # an await nobody ticks for: not a case
-        end_usec = untimed[2] / 1000
-        timed = _run(program, ncpus, bound, units, seed,
-                     timeout_usec=end_usec + 1_000)
+        opts = dict(ncpus=ncpus, flags=flags, units=units, seed=seed)
+        untimed = run(program, **opts)
+        # An await nobody ticks for: not a case.
+        assume(untimed.hang is None)
+        timed = run(program, timeout_usec=untimed.now_ns / 1000 + 1_000,
+                    **opts)
         assert timed == untimed
 
 
