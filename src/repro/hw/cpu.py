@@ -32,25 +32,28 @@ they obey the hot-path rules of ARCHITECTURE §10:
   it in place when nothing queued sorts first, and ``run()`` queues it
   as an ordinary ``Event`` with the same key on its way out
   (:mod:`repro.sim.engine`).
-* ``_step`` has one exit: every inline path sets the step's cost and
-  falls through to one booking and one schedule at the end.  The
-  schedule is ``_schedule_step``'s common case inline (no step pending;
-  a step runs only inside ``run()``); ``assign`` and the ``_DISPATCH``
-  handlers call ``_schedule_step``.  A step that handed its CPU to a
-  new dispatch (its LWP's process died inside it) leaves that
-  dispatch's first step pending, and the exit pushes it back by the
-  step's cost.
+* One way to book CPU time: the call that makes a step due books its
+  cost to the CPU and to the LWP holding it (``_step`` inline, ``assign``
+  and the ``_DISPATCH`` handlers through ``_spend``), and ``release``
+  refunds the part that has not run, so booked time equals held time.
+  A block or a signal delivery takes no time and books none.  The LWP's
+  timers, profiling and RLIMIT_CPU see a booking (``Lwp.meter``) only
+  while one is armed (``Lwp.metered``).
+* ``_step`` has two exits: the kernel exit's, and one at the end, where
+  every other inline path falls through with the step's cost.  Each
+  inlines ``_schedule_step``'s common case (a step runs only inside
+  ``run()``, so none is pending), then books.  A kernel call that kills
+  its own LWP ends the step with no exit; a kill by a watcher or at the
+  exit's signal check finds the step due, which ``release`` refunds.
 * One trap and one kernel exit, both inline in ``_step``.  ``Charge``,
   ``GetContext`` and ``Syscall``, the most frequent effects, are matched
   by exact type; an exact ``Syscall`` is the only trap, and it makes one
   kernel call (``Kernel.trap``).  A kernel frame (a system call or a
   page fault) that returns, or raises, to the user frame below it
-  leaves through the one kernel exit, which books ``syscall_exit`` to
-  the step's LWP and makes one kernel call (``Kernel.kernel_exit_check``).
+  leaves through the one kernel exit, which books ``syscall_exit`` and
+  makes one kernel call (``Kernel.kernel_exit_check``).
   ``_frame_returned`` and ``_frame_raised`` take every other frame: a
-  signal handler's, a nested one, the bottom one.  The LWP's time is
-  booked inline too; its interval timers, profiling and RLIMIT_CPU are
-  checked (``Lwp.meter``) only while one is armed (``Lwp.metered``).
+  signal handler's, a nested one, the bottom one.
   The other effects dispatch through a *type-keyed table*
   (``_DISPATCH``), one dict lookup on ``type(effect)`` instead of an
   isinstance chain; a type the table lacks, even a subclass of an
@@ -132,7 +135,10 @@ class CPU:
         self._queue = engine.queue
         self._slots = engine.slots
         self.step = self._step
+        # The ends of the user-mode Charge in flight (a preemption may cut
+        # it short) and of the last user-time step _spend booked.
         self._charge_end_ns: Optional[int] = None
+        self._spend_user_end_ns: Optional[int] = None
         # Virtual time the current LWP was assigned.  Feeds both the
         # metrics (per-class / per-LWP on-CPU accounting) and the
         # scheduler policies' span bookkeeping (CFS vruntime, SJF burst
@@ -176,14 +182,31 @@ class CPU:
             self.tracer.emit(self.engine.now_ns, "sched", "dispatch",
                              lwp.name, cpu=self.name)
         # Dispatch latency: run-queue removal, context load, cache warmup.
-        self._account(self.costs.kernel_dispatch, kernel=True)
-        self._schedule_step(self.costs.kernel_dispatch)
+        self._spend(self.costs.kernel_dispatch, kernel=True)
 
     def release(self) -> None:
-        """Detach the current LWP (it blocked, exited, or was preempted)."""
+        """Detach the current LWP (it blocked, exited, was preempted or
+        killed), refunding the unrun rest of its pending step, which was
+        booked in full, as user or system time as it was booked."""
         lwp = self.lwp
         if lwp is not None:
             lwp.cpu = None
+            pending = self._pending
+            if pending is not None:
+                end = (pending[0] if pending.__class__ is tuple
+                       else pending.time_ns)
+                rest = end - self.engine.now_ns
+                if rest > 0:
+                    user = (self._charge_end_ns is not None
+                            or end == self._spend_user_end_ns)
+                    if user:
+                        self.user_ns -= rest
+                        lwp.user_ns -= rest
+                    else:
+                        self.kernel_ns -= rest
+                        lwp.system_ns -= rest
+                    if lwp.metered:
+                        lwp.meter(-rest, not user)
             if self._oncpu_since is not None:
                 span = self.engine.now_ns - self._oncpu_since
                 m = self.engine.metrics
@@ -197,30 +220,25 @@ class CPU:
         self._oncpu_since = None
         self.lwp = None
         self.ctx = None
+        self._charge_end_ns = self._spend_user_end_ns = None
         self._cancel_step()
 
     def request_preempt(self) -> None:
         """Ask the CPU to give up its LWP at the next preemption point.
 
         If the LWP is in the middle of a user-mode :class:`Charge`, the
-        charge is interrupted immediately and the remainder saved.  Kernel
-        charges are not interruptible (the simulated kernel runs
-        non-preemptively, as SunOS of that era did inside the kernel).
+        charge is interrupted immediately and its rest charged again when
+        the LWP next runs.  Other charges are not interruptible (the
+        simulated kernel runs non-preemptively, as SunOS of that era did
+        inside the kernel).
         """
         if self.lwp is None:
             return
         activity = self.lwp.current_activity
         if (self._charge_end_ns is not None and activity is not None
                 and not activity.in_kernel):
-            remaining = self._charge_end_ns - self.engine.now_ns
-            if remaining > 0:
-                # The charge was accounted in full when it started; hand the
-                # unused remainder back and re-charge it when the LWP next
-                # runs.
-                activity.pending_charge_ns += remaining
-                self._account(-remaining, kernel=False)
-            self._cancel_step()
-            self._charge_end_ns = None
+            activity.pending_charge_ns += (self._charge_end_ns
+                                           - self.engine.now_ns)
             lwp = self.lwp
             self.release()
             self.kernel.dispatcher.on_preempted(lwp)
@@ -269,17 +287,24 @@ class CPU:
         else:
             pending.cancelled = True
 
-    def _account(self, ns: int, kernel: bool = False) -> None:
+    def _spend(self, ns: int, kernel: bool) -> None:
+        """Make the next step due ``ns`` from now and book it to this CPU
+        and its LWP as kernel or user time (``_step`` does so inline)."""
+        self._schedule_step(ns)
+        lwp = self.lwp
         if kernel:
             self.kernel_ns += ns
+            lwp.system_ns += ns
         else:
             self.user_ns += ns
-        if self.lwp is not None:
-            self.lwp.account(ns, kernel=kernel)
+            lwp.user_ns += ns
+            self._spend_user_end_ns = self.engine.now_ns + ns
+        if lwp.metered:
+            lwp.meter(ns, kernel)
 
     def _step(self) -> None:
         """Execute one effect of the current activity, then make the next
-        step due after its cost, at the one exit below."""
+        step due after its cost and book it, at one of two exits."""
         self._pending = None
         self._charge_end_ns = None
         lwp = self.lwp
@@ -335,9 +360,7 @@ class CPU:
                     return
                 # The one kernel exit: a kernel frame (a syscall or a
                 # fault handler) returns, or raises, to the user frame
-                # below it.  The exit is booked to the step's LWP, which
-                # a kill inside the step may have taken off this CPU,
-                # before the kernel's signal check.
+                # below it.
                 frames.pop()
                 m = engine.metrics
                 if exc.__class__ is StopIteration:
@@ -365,16 +388,26 @@ class CPU:
                             m.observe(_LATENCY_KEYS[frame.label],
                                       engine.now_ns - frame.enter_ns)
                         m.count(_ERRNO_KEYS[frame.label, exc.errno])
+                # A call that killed its own LWP has no exit.  Else the
+                # exit is made due and booked as at the end, then checked
+                # for signals while the activity still counts as stepping.
+                if self.lwp is not lwp:
+                    return
                 ns = self.costs.syscall_exit
+                q = self._queue
+                seq = q._seq
+                q._seq = seq + 1
+                entry = (engine.now_ns + ns, seq, self)
+                self._pending = entry
+                insort(self._slots, entry)
                 self.kernel_ns += ns
                 lwp.system_ns += ns
                 if lwp.metered:
                     lwp.meter(ns, True)
-                ctx = self.ctx
-                if ctx is None or ctx.lwp is not lwp:
-                    ctx = ExecContext(self, lwp)
-                self.kernel.kernel_exit_check(ctx)
-                cls = kernel = None
+                    if self.lwp is not lwp:
+                        return
+                self.kernel.kernel_exit_check(self.ctx)
+                return
             finally:
                 self._stepping_activity = None
                 engine.stepping_cpu = None
@@ -388,10 +421,7 @@ class CPU:
                 if self.tracer.want_syscall:
                     self.tracer.emit(engine.now_ns, "syscall", "enter",
                                      lwp.name, call=name)
-                ctx = self.ctx
-                if ctx is None or ctx.lwp is not lwp:
-                    ctx = ExecContext(self, lwp)
-                frame = Frame(self.kernel.trap(ctx, name, effect.args,
+                frame = Frame(self.kernel.trap(self.ctx, name, effect.args,
                                                effect.kwargs),
                               _KERNEL, _SYS_LABELS[name])
                 if engine.metrics is not None:
@@ -403,13 +433,10 @@ class CPU:
                 kernel = True
             elif cls is _GetContext:
                 # ns is 0: no charge was pending.
-                ctx = self.ctx
-                if ctx is None or ctx.lwp is not lwp:
-                    ctx = ExecContext(self, lwp)
-                activity.resume_value = ctx
+                activity.resume_value = self.ctx
                 activity.resume_exc = None
                 kernel = None
-            elif cls is not None:
+            else:
                 try:
                     handler = _DISPATCH[cls]
                 except KeyError:
@@ -418,64 +445,36 @@ class CPU:
                 handler(self, lwp, activity, effect)
                 return
 
-        # Book the time: _account inlined, and the LWP's watchers only
-        # while one is armed.  The full amount is booked up front; if a
-        # user-mode charge is preempted, request_preempt() refunds the
-        # unused remainder.  The LWP booked is the one on the CPU now,
-        # which the generator may have changed.
+        # The other exit: make the next step due after ``ns``, then book
+        # it to the CPU and the step's LWP as kernel time (``kernel``
+        # true), user time (false) or not at all (None).
+        q = self._queue
+        seq = q._seq
+        q._seq = seq + 1
+        entry = (engine.now_ns + ns, seq, self)
+        self._pending = entry
+        insort(self._slots, entry)
         if kernel is not None:
-            booked = self.lwp
             if kernel:
                 self.kernel_ns += ns
-                if booked is not None:
-                    booked.system_ns += ns
-                    if booked.metered:
-                        booked.meter(ns, True)
+                lwp.system_ns += ns
             else:
                 self.user_ns += ns
-                if booked is not None:
-                    booked.user_ns += ns
-                    if booked.metered:
-                        booked.meter(ns, False)
+                lwp.user_ns += ns
                 if ns > 0:
                     self._charge_end_ns = engine.now_ns + ns
-
-        # The one exit: _schedule_step inline (a step runs only inside
-        # run()).  If the step dispatched this CPU anew, the pending step
-        # (a slot entry, ``(time_ns, seq, cpu)``) is the new dispatch's:
-        # the CPU pays this step's cost first, so push it back by ``ns``.
-        if self._pending is None:
-            q = self._queue
-            seq = q._seq
-            q._seq = seq + 1
-            entry = (engine.now_ns + ns, seq, self)
-            self._pending = entry
-            insort(self._slots, entry)
-        else:
-            self._schedule_step(self._pending[0] + ns - engine.now_ns)
-
-    def _context(self, lwp) -> ExecContext:
-        """The ExecContext of ``lwp`` on this CPU: the dispatch's shared
-        one, or a fresh one when the step's LWP has left the CPU while
-        its generator ran (a kill from inside the step)."""
-        ctx = self.ctx
-        if ctx is None or ctx.lwp is not lwp:
-            ctx = ExecContext(self, lwp)
-        return ctx
+            if lwp.metered:
+                lwp.meter(ns, kernel)
 
     # ----------------------------------------------------- effect handling
 
     def _do_setjmp(self, lwp, activity: Activity, effect) -> None:
         activity.set_resume(object())  # opaque jump-buffer token
-        self._charge_then_step(self.costs.setjmp, activity.in_kernel)
+        self._spend(self.costs.setjmp, activity.in_kernel)
 
     def _do_longjmp(self, lwp, activity: Activity, effect) -> None:
         activity.set_resume(None)
-        self._charge_then_step(self.costs.longjmp, activity.in_kernel)
-
-    def _charge_then_step(self, ns: int, kernel: bool) -> None:
-        self._account(ns, kernel=kernel)
-        self._schedule_step(ns)
+        self._spend(self.costs.longjmp, activity.in_kernel)
 
     def _switch_thread(self, lwp, activity: Activity,
                        effect: "isa.SwitchTo") -> None:
@@ -488,8 +487,7 @@ class CPU:
             self.tracer.emit(self.engine.now_ns, "thread", "switch",
                              lwp.name, frm=activity.name, to=target.name)
         lwp.current_activity = target
-        self._account(self.costs.thread_switch_user, kernel=False)
-        self._schedule_step(self.costs.thread_switch_user)
+        self._spend(self.costs.thread_switch_user, kernel=False)
 
     def _touch(self, lwp, activity: Activity, effect: "isa.Touch") -> None:
         pageno = page_of(effect.offset)
@@ -502,13 +500,12 @@ class CPU:
             self.tracer.emit(self.engine.now_ns, "vm", "fault",
                              lwp.name, obj=effect.mobj.name, page=pageno)
         handler = self.kernel.page_fault_handler(
-            self._context(lwp), effect.mobj, pageno, effect.write)
+            self.ctx, effect.mobj, pageno, effect.write)
         activity.push(handler, Mode.KERNEL, label="pagefault")
         if self.engine.metrics is not None:
             activity.top.enter_ns = self.engine.now_ns
         activity.set_resume(None)
-        self._account(self.costs.trap_entry, kernel=True)
-        self._schedule_step(self.costs.trap_entry)
+        self._spend(self.costs.trap_entry, kernel=True)
 
     def _block(self, lwp, activity: Activity, effect: "isa.Block") -> None:
         """Sleep the LWP on a kernel wait channel and free this CPU."""
@@ -522,7 +519,6 @@ class CPU:
         if self.tracer.want_sched:
             self.tracer.emit(self.engine.now_ns, "sched", "block",
                              lwp.name, chan=effect.channel.name)
-        self._account(self.costs.kernel_block, kernel=True)
         self.release()
         self.kernel.block_lwp(lwp, effect)
         self.kernel.dispatcher.cpu_idle(self)
@@ -542,8 +538,7 @@ class CPU:
                     activity.set_resume_exc(payload)
                 else:
                     activity.set_resume(payload)
-                self._account(self.costs.signal_return, kernel=False)
-                self._schedule_step(self.costs.signal_return)
+                self._spend(self.costs.signal_return, kernel=False)
                 return
             activity.set_resume(value)
             self._schedule_step(0)
@@ -551,7 +546,7 @@ class CPU:
 
         # Bottom frame returned: the activity's body is done.
         if activity.on_return is not None:
-            follow_on = activity.on_return(self._context(lwp), value)
+            follow_on = activity.on_return(self.ctx, value)
             if follow_on is not None:
                 activity.push(follow_on, Mode.USER, label="on_return")
                 activity.set_resume(None)
@@ -601,7 +596,6 @@ class CPU:
         activity.resume_value = None
         activity.push(gen, Mode.USER, label=label)
         activity.top.saved_resume = saved
-        self._account(self.costs.signal_deliver, kernel=False)
 
     def throw_into(self, exc: BaseException) -> None:
         """Arrange for ``exc`` to be thrown at the next step (signal path)."""

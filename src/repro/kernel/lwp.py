@@ -162,24 +162,10 @@ class Lwp:
 
     # --------------------------------------------------------- accounting
 
-    def account(self, ns: int, kernel: bool = False) -> None:
-        """Charge CPU time to this LWP (the CPU executor's generic
-        booking; ``CPU._step`` books the same way inline).
-
-        Books user or system time, then runs :meth:`meter` only while
-        :attr:`metered` says a watcher is armed.
-        """
-        if kernel:
-            self.system_ns += ns
-        else:
-            self.user_ns += ns
-        if self.metered:
-            self.meter(ns, kernel)
-
     def meter(self, ns: int, kernel: bool) -> None:
-        """The watchers of a charge already booked, in order: the
-        interval timers, profiling, RLIMIT_CPU.  A timer that runs out
-        recomputes :attr:`metered`."""
+        """The watchers of a charge (or, negative, a refund) the CPU has
+        booked, in order: the interval timers, profiling, RLIMIT_CPU.  A
+        timer that runs out recomputes :attr:`metered`."""
         if not kernel and self.vtimer_remaining_ns > 0:
             self.vtimer_remaining_ns = max(0, self.vtimer_remaining_ns - ns)
             if self.vtimer_remaining_ns == 0:

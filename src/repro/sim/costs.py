@@ -76,8 +76,6 @@ class CostModel:
     # enter it in the dispatcher.  Dominates bound thread creation
     # (Figure 5 row 2: 2327 us total, ratio 42).
     lwp_create_service: int = usec(2241)
-    # Blocking an LWP in the kernel (save state, pick next LWP).
-    kernel_block: int = usec(30)
     # Waking an LWP (move to run queue, maybe cross-CPU poke).
     kernel_wakeup: int = usec(40)
     # Dispatch latency: a newly runnable LWP reaching a CPU.

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.hw.isa import Charge, GetContext
 from repro.kernel.lwp import Lwp, LwpState, SchedClass
 from repro.kernel.profil import ProfilingBuffer, ProfilingState
+from repro.runtime import unistd
+from repro.sim.clock import usec
 from repro.threads.stack import DEFAULT_STACK_SIZE, Stack, StackAllocator
+from tests.conftest import run_program
 
 
 class TestProfilingBuffer:
@@ -123,12 +127,23 @@ class TestLwpUnit:
         assert lwp.effective_priority > ts
 
     def test_accounting_splits_user_system(self):
-        lwp = self._lwp()
-        lwp.account(100, kernel=False)
-        lwp.account(40, kernel=True)
-        assert lwp.user_ns == 100
-        assert lwp.system_ns == 40
-        assert lwp.cpu_ns == 140
+        """The CPU books a user-mode charge as the LWP's user time and a
+        system call (entry, service, exit) as its system time."""
+        books = []
+
+        def main():
+            ctx = yield GetContext()
+            lwp = ctx.lwp
+            books.append((lwp.user_ns, lwp.system_ns, lwp.cpu_ns))
+            yield Charge(usec(100))
+            yield from unistd.getpid()
+            books.append((lwp.user_ns, lwp.system_ns, lwp.cpu_ns))
+
+        run_program(main)
+        (user0, sys0, cpu0), (user1, sys1, cpu1) = books
+        assert user1 - user0 == usec(100)
+        assert sys1 - sys0 == usec(15 + 5 + 15)
+        assert cpu1 - cpu0 == usec(135)
 
     def test_indefinite_block_flag(self):
         lwp = self._lwp()

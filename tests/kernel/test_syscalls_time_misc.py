@@ -272,11 +272,13 @@ class TestRlimits:
 
     def test_cpu_limit_set_by_one_lwp_signals_a_sibling(self):
         """The process total crosses the limit in the sibling's charge,
-        so the sibling takes SIGXCPU."""
-        assert self._sigxcpu_taker(limit_first=False) == [(2, usec(4_577))]
+        so the sibling takes SIGXCPU.  The total counts only time spent
+        on a CPU (a block books none), so it crosses 5 ms in the
+        sibling's fifth 1 ms charge."""
+        assert self._sigxcpu_taker(limit_first=False) == [(2, usec(5_577))]
 
     def test_cpu_limit_signals_an_lwp_created_after_it(self):
-        assert self._sigxcpu_taker(limit_first=True) == [(2, usec(4_612))]
+        assert self._sigxcpu_taker(limit_first=True) == [(2, usec(5_612))]
 
     def test_fsize_limit_sends_sigxfsz_and_fails_write(self):
         from repro.kernel.fs.file import O_CREAT, O_RDWR

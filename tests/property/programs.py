@@ -18,7 +18,12 @@ The options:
   such a call survives its failure;
 * ``timeout_usec``: every blocking sync call is its timed twin with
   this timeout (``None``: the untimed call);
-* ``units``: the semaphore's initial count.
+* ``units``: the semaphore's initial count;
+* ``crash_usec``: an ``LwpCrash`` kills one of the program's LWPs at
+  that virtual time (``None``: no crash);
+* ``bystander``: a second process computes, makes a system call and
+  sleeps beside the program, so a CPU that the program's LWPs leave
+  has another LWP to run.
 
 The created threads start together: each posts ``arrivals`` and waits
 on ``gate``, which main opens once every one has arrived.
@@ -37,7 +42,7 @@ from repro.kernel.signals import Sig
 from repro.kernel.syscalls.time_calls import ITIMER_PROF
 from repro.runtime import unistd
 from repro.sim.clock import usec
-from repro.sim.faults import FaultPlan, SyscallFault
+from repro.sim.faults import FaultPlan, LwpCrash, SyscallFault
 from repro.sim.schedule import RandomPreempt, SchedulePlan
 from repro.sim.trace import DigestSink
 from repro.sync import CondVar, Mutex, Semaphore
@@ -344,21 +349,34 @@ class Outcome(NamedTuple):
     metrics: Optional[str]       # the metrics JSON, when metrics were on
 
 
+def _bystander():
+    yield Charge(usec(30))
+    yield from unistd.getpid()
+    yield from unistd.sleep_usec(20)
+    yield Charge(usec(30))
+
+
 def run(program, *, ncpus=1, flags="bound", units=1, preempt=False,
-        errno=None, timeout_usec=None, seed=0, metrics=False) -> Outcome:
+        errno=None, timeout_usec=None, seed=0, metrics=False,
+        crash_usec=None, bystander=False) -> Outcome:
     """Run ``program`` with the given options; a hang is part of the
     outcome, not an error."""
     sink = DigestSink()
     plan = (SchedulePlan([RandomPreempt(probability=0.3)])
             if preempt else None)
-    faults = None
+    rules = []
     if errno is not None:
         call, name, every = errno
-        faults = FaultPlan([SyscallFault(call, name, every=every)])
+        rules.append(SyscallFault(call, name, every=every))
+    if crash_usec is not None:
+        rules.append(LwpCrash(crash_usec, pid=1))
     sim = Simulator(ncpus=ncpus, seed=seed, trace=True, trace_sink=sink,
-                    trace_store=False, schedule=plan, faults=faults,
+                    trace_store=False, schedule=plan,
+                    faults=FaultPlan(rules) if rules else None,
                     metrics=metrics)
     sim.spawn(build(program, flags, units, timeout_usec))
+    if bystander:
+        sim.spawn(_bystander)
     try:
         sim.run(max_events=200_000)
         hang = None

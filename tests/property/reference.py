@@ -9,14 +9,16 @@ raise are written out here (production does the trap and the kernel
 exit inline in ``CPU._step``).  It keeps production's rules, so a run
 on it gives the same trace, events, clock, metrics and booked time:
 
-* a step reserves its ``(time, seq)`` where production's does, at its
-  end, after booking and the kernel's signal check;
-* time is booked to the CPU and the LWP on it through ``CPU._account``,
-  except a kernel exit's ``syscall_exit``, which the LWP that made the
-  call pays;
-* a step whose LWP's process died inside it, with another LWP already
-  dispatched onto the CPU, pushes that dispatch's first step back by
-  its own cost;
+* a step books its cost where production's does, through this class's
+  own ``_book``: it makes the next step due, books the cost to the CPU
+  and the LWP holding it, and then lets the LWP's watchers see it; a
+  kernel exit does so before the kernel's signal check;
+* a kernel call that killed its own LWP leaves the kernel with no exit
+  cost: the step ends after the exit's trace record and metrics, and
+  another LWP dispatched onto the CPU keeps its first step where its
+  own dispatch put it;
+* a step's unrun rest, when its LWP leaves the CPU, is refunded by
+  production's ``CPU.release``;
 * the effects it does not interpret itself (``SwitchTo``, ``Setjmp``,
   ``Longjmp``, ``Touch``, ``Block``) go to production's ``_DISPATCH``
   handlers, which schedule through this class's ``_schedule_step``.
@@ -48,13 +50,22 @@ class ReferenceCPU(CPU):
             self._pending.cancelled = True
             self._pending = None
 
-    def _finish(self, ns: int) -> None:
-        """Make the next step due ``ns`` from now.  A step pending
-        already is a new dispatch's: this step's LWP left the CPU inside
-        it, and the CPU pays this step's cost before the new one's."""
-        if self._pending is not None:
-            ns += self._pending.time_ns - self.engine.now_ns
+    def _book(self, ns: int, kernel: bool) -> None:
+        """Make the next step due ``ns`` from now, book ``ns`` to this
+        CPU and its LWP as kernel or user time, and let the LWP's
+        watchers see it.  A user charge's end is marked where
+        ``CPU.release`` reads the kind of a rest it refunds."""
         self._schedule_step(ns)
+        lwp = self.lwp
+        if kernel:
+            self.kernel_ns += ns
+            lwp.system_ns += ns
+        else:
+            self.user_ns += ns
+            lwp.user_ns += ns
+            self._spend_user_end_ns = self.engine.now_ns + ns
+        if lwp.metered:
+            lwp.meter(ns, kernel)
 
     def _step(self) -> None:
         self._pending = None
@@ -96,8 +107,8 @@ class ReferenceCPU(CPU):
         if kind is isa.Charge:
             self._charge(effect.ns, activity.in_kernel)
         elif kind is isa.GetContext:
-            activity.set_resume(self._context(lwp))
-            self._finish(0)
+            activity.set_resume(self.ctx)
+            self._schedule_step(0)
         elif kind is isa.Syscall:
             self._trap(lwp, activity, effect)
         elif kind in _DISPATCH:
@@ -119,26 +130,24 @@ class ReferenceCPU(CPU):
         return gen.send(value)
 
     def _charge(self, ns: int, kernel: bool) -> None:
-        """Book all of ``ns`` now; a preempted user charge is refunded
-        its remainder (``CPU.request_preempt``)."""
-        self._account(ns, kernel)
+        """Book all of ``ns`` now; a preemption may cut a user-mode
+        charge short (``CPU.request_preempt``)."""
         if not kernel and ns > 0:
             self._charge_end_ns = self.engine.now_ns + ns
-        self._finish(ns)
+        self._book(ns, kernel)
 
     def _trap(self, lwp, activity, call) -> None:
         engine = self.engine
         if self.tracer.want_syscall:
             self.tracer.emit(engine.now_ns, "syscall", "enter", lwp.name,
                              call=call.name)
-        handler = self.kernel.trap(self._context(lwp), call.name,
-                                   call.args, call.kwargs)
+        handler = self.kernel.trap(self.ctx, call.name, call.args,
+                                   call.kwargs)
         activity.push(handler, Mode.KERNEL, label="sys_" + call.name)
         if engine.metrics is not None:
             activity.top.enter_ns = engine.now_ns
         activity.set_resume(None)
-        self._account(self.costs.syscall_entry, kernel=True)
-        self._finish(self.costs.syscall_entry)
+        self._book(self.costs.syscall_entry, kernel=True)
 
     def _returned(self, lwp, activity, value) -> None:
         frame = activity.pop()
@@ -151,8 +160,7 @@ class ReferenceCPU(CPU):
                 activity.set_resume_exc(payload)
             else:
                 activity.set_resume(payload)
-            self._account(self.costs.signal_return, kernel=False)
-            self._schedule_step(self.costs.signal_return)
+            self._book(self.costs.signal_return, kernel=False)
         else:
             activity.set_resume(value)
             if frame.mode is Mode.KERNEL and activity.top.mode is Mode.USER:
@@ -162,7 +170,7 @@ class ReferenceCPU(CPU):
 
     def _body_returned(self, lwp, activity, value) -> None:
         if activity.on_return is not None:
-            follow_on = activity.on_return(self._context(lwp), value)
+            follow_on = activity.on_return(self.ctx, value)
             if follow_on is not None:
                 activity.push(follow_on, Mode.USER, label="on_return")
                 activity.set_resume(None)
@@ -211,11 +219,11 @@ class ReferenceCPU(CPU):
                           engine.now_ns - frame.enter_ns)
             if error is not None:
                 m.count(f"syscall.errno.{call}.{error.errno.name}")
-        ns = self.costs.syscall_exit
-        self.kernel_ns += ns
-        lwp.account(ns, kernel=True)
-        self.kernel.kernel_exit_check(self._context(lwp))
-        self._finish(ns)
+        if self.lwp is not lwp:
+            return               # the call killed its own LWP
+        self._book(self.costs.syscall_exit, kernel=True)
+        if self.lwp is lwp:      # no watcher killed it
+            self.kernel.kernel_exit_check(self.ctx)
 
 
 def _brief(value) -> str:

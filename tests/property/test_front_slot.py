@@ -21,8 +21,9 @@ pure host-side shortcuts:
 * the ``max_events`` and ``until_ns`` guards stop a run of in-place
   steps exactly where they stop queued events;
 * a step that ends its own process and hands its CPU to another one
-  keeps the heap order, and books its syscall exit to its own LWP, on
-  both CPUs.
+  ends there, on both CPUs: the dead LWP's syscall exit neither runs
+  nor is booked, and the new dispatch's first step stays where its own
+  dispatch cost puts it.
 """
 
 import json
@@ -237,45 +238,45 @@ def _books(sim):
 
 
 def test_a_step_that_hands_its_cpu_over_keeps_the_heap_order():
-    """A default SIGTERM delivered at the kill's syscall exit ends the
-    process inside the stepping CPU's own step, and another process's
-    LWP is dispatched onto that CPU (at 175 us, 80 us of dispatch
-    booked) before the step's exit.  The exit, inline in ``CPU._step``
-    or in ``ReferenceCPU``'s own code, pushes the new dispatch's first
-    step back by its own 15 us syscall exit: the bystander first runs
-    at 270 us, when the CPU has booked exactly the clock."""
+    """A default SIGTERM posted by the kill ends the victim's process
+    inside the stepping CPU's own step, and another process's LWP is
+    dispatched onto that CPU (at 175 us, 80 us of dispatch booked)
+    before the step's exit.  The exit, inline in ``CPU._step`` or in
+    ``ReferenceCPU``'s own code, emits its trace record and ends the
+    step: the bystander first runs at 255 us, when the CPU has booked
+    exactly the clock."""
     for reference in (False, True):
         first_step, sim, sink = _hand_over(reference)
-        assert [step[:2] for step in first_step] == [(usec(270), usec(270))]
-        assert (sim.engine.events_fired, sim.engine.now_ns) == (17, usec(815))
-        assert sink.hexdigest() == ("4cdb2adefe31d278c628348b71e7675a"
-                                    "c0011ff6574fd0243461fa1bbb8b4f5b")
+        assert [step[:2] for step in first_step] == [(usec(255), usec(255))]
+        assert (sim.engine.events_fired, sim.engine.now_ns) == (17, usec(800))
+        assert sink.hexdigest() == ("ffc18c487f3c8a3a86dff8f1c305a15a"
+                                    "dee67b46bafd411a0710ce61f7a32e16")
 
 
-def test_a_handed_over_step_books_its_exit_to_its_own_lwp():
-    """The kill's 15 us syscall exit is the dead victim's: the
-    bystander has only its 80 us dispatch at its first step.  The CPU
-    books the same 845 us either way (its last 30 us, the bystander's
-    block on the grave channel, take no virtual time)."""
+def test_a_handed_over_step_books_no_exit():
+    """The kill's 15 us syscall exit never runs, so nobody books it:
+    the bystander has only its 80 us dispatch at its first step, and
+    the CPU books the 800 us it ran (its bystander's last block, on the
+    grave channel, takes no time and books none)."""
     for reference in (False, True):
         first_step, sim, _sink = _hand_over(reference)
         assert first_step[0][2] == usec(80)
-        assert _books(sim) == {"lwp-1.1": (usec(10), usec(180)),
-                               "lwp-2.1": (usec(30), usec(625))}
-        assert sim.machine.cpus[0].busy_ns == usec(845)
+        assert _books(sim) == {"lwp-1.1": (usec(10), usec(165)),
+                               "lwp-2.1": (usec(30), usec(595))}
+        assert sim.machine.cpus[0].busy_ns == sim.engine.now_ns == usec(800)
 
 
 def test_a_dead_lwps_timer_posts_nothing_to_its_exited_process():
-    """With ITIMER_PROF armed to run out in the kill's syscall exit,
-    the timer runs out on the dead victim, and SIGPROF is not posted to
-    its exited process."""
-    # The victim runs 110 us from arming the timer to the start of the
-    # kill's 15 us syscall exit.
+    """ITIMER_PROF is armed to run out 10 us into the kill's syscall
+    exit, which never runs: the timer keeps those 10 us on the dead
+    victim, and no SIGPROF is posted."""
+    # The victim runs 110 us from arming the timer to the end of the
+    # kill's call.
     armed = 120
     for reference in (False, True):
         _first_step, sim, _sink = _hand_over(reference, prof_usec=armed)
         victim = sim.kernel.processes[1].lwps[1]
-        assert victim.ptimer_remaining_ns == 0
+        assert victim.ptimer_remaining_ns == usec(10)
         assert sim.kernel.signals_posted[Sig.SIGPROF] == 0
 
 
